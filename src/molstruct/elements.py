@@ -7,9 +7,6 @@ atomic weight carry the mass number of their longest-lived isotope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
-
 # (atomic number, symbol, standard atomic weight)
 _ELEMENTS_DATA: tuple[tuple[int, str, float], ...] = (
     (1, "H", 1.008),
@@ -133,41 +130,7 @@ _ELEMENTS_DATA: tuple[tuple[int, str, float], ...] = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Element:
-    """A chemical element.
-
-    Attributes:
-        atomic_number: Proton count, 1 through 118.
-        symbol: Standard one or two letter symbol.
-        weight: Standard atomic weight in g/mol.
-    """
-
-    atomic_number: int
-    symbol: str
-    weight: float
-
-    _by_symbol: ClassVar[dict[str, "Element"]] = {}
-    _by_number: ClassVar[dict[int, "Element"]] = {}
-
-    @classmethod
-    def from_symbol(cls, symbol: str) -> "Element | None":
-        """Look up an element by its case-sensitive symbol, None if unknown."""
-        return cls._by_symbol.get(symbol)
-
-    @classmethod
-    def from_number(cls, number: int) -> "Element | None":
-        """Look up an element by atomic number, None if out of range."""
-        return cls._by_number.get(number)
-
-
-for _z, _sym, _w in _ELEMENTS_DATA:
-    _el = Element(_z, _sym, _w)
-    Element._by_symbol[_sym] = _el
-    Element._by_number[_z] = _el
-
 SYMBOL_TO_NUMBER: dict[str, int] = {sym: z for z, sym, _ in _ELEMENTS_DATA}
-NUMBER_TO_SYMBOL: dict[int, str] = {z: sym for z, sym, _ in _ELEMENTS_DATA}
 ATOMIC_WEIGHTS: dict[str, float] = {sym: w for _, sym, w in _ELEMENTS_DATA}
 
 # Allowed valences for the plain (non-bracket) organic subset.  Implicit

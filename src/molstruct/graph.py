@@ -545,14 +545,6 @@ def perceive_aromaticity(mol: Molecule) -> Molecule:
         replace(ring, aromatic=(rid in aromatic_ring_ids)) if ring.aromatic != (rid in aromatic_ring_ids) else ring
         for rid, ring in enumerate(rings)
     ]
-
-    for atom in mol.atoms:
-        if atom.written_aromatic and atom.index not in aromatic_atoms:
-            raise AromaticityError(
-                f"atom {atom.index} ({atom.element}) was written aromatic but sits "
-                "in no ring satisfying the 4n+2 rule",
-                atom.position,
-            )
     return mol
 
 

@@ -19,9 +19,8 @@ from typing import Iterable, Sequence
 from .catalog import Catalog
 from .errors import EmptyRationaleError, WidthMismatchError
 from .graph import Molecule
-from .profile import StructuralProfile, extract_profile
-from .rationale import CANONICAL_ORDER, ComponentKind, Rationale
-from .selection import WEIGHT_RATIO_HIGH, WEIGHT_RATIO_LOW, _jaccard
+from .profile import CANONICAL_ORDER, ComponentKind, StructuralProfile, score_claims
+from .rationale import Rationale
 from .smiles import canonicalize, parse
 
 BLEU_MAX_ORDER = 4
@@ -231,50 +230,24 @@ def score_reasoning(
         catalog: Group/ring catalog used when profiling a molecule.
 
     Returns:
-        Scores in [0, 1] for every masked component that was gradeable.
+        Scores in [0, 1] for every masked component that was gradeable,
+        in canonical order.  Only the asserted components are computed
+        from a gold molecule.
 
     Raises:
         EmptyRationaleError: The rationale mask is empty.
+        SizeLimitError: The chain is asserted and the gold molecule has
+            more than 64 non-ring carbons.
     """
     if not rationale.mask:
         raise EmptyRationaleError("cannot grade an empty rationale")
-    profile = gold if isinstance(gold, StructuralProfile) else extract_profile(gold, catalog)
-
-    def multiset(claimed: tuple[str, ...], actual: tuple[str, ...]) -> float:
-        if not recall:
-            return _jaccard(claimed, actual)
-        if not actual:
-            return 1.0
-        a, b = Counter(claimed), Counter(actual)
-        return sum((a & b).values()) / sum(b.values())
-
-    scores: dict[ComponentKind, float] = {}
-    for kind in rationale.mask:
-        claimed = rationale.components[kind]
-        if kind is ComponentKind.FORMULA:
-            scores[kind] = 1.0 if claimed == profile.formula else 0.0
-        elif kind is ComponentKind.LONGEST_CHAIN:
-            scores[kind] = 1.0 if claimed == profile.longest_chain else 0.0
-        elif kind is ComponentKind.AROMATIC_RINGS:
-            scores[kind] = 1.0 if claimed == profile.aromatic_ring_count else 0.0
-        elif kind is ComponentKind.RING_COMPOUNDS:
-            scores[kind] = multiset(tuple(claimed), profile.ring_compounds)
-        elif kind is ComponentKind.FUNCTIONAL_GROUPS:
-            scores[kind] = multiset(tuple(claimed), profile.functional_groups)
-        elif kind is ComponentKind.CHIRALITY:
-            claimed_labels = Counter(config.value for _, config in claimed)
-            actual_labels = Counter(config.value for _, config in profile.chiral_centers)
-            scores[kind] = 1.0 if claimed_labels == actual_labels else 0.0
-        elif kind is ComponentKind.MOLECULAR_WEIGHT:
-            true = profile.molecular_weight
-            if true <= 0:
-                scores[kind] = 1.0 if float(claimed) == true else 0.0
-            else:
-                ratio = float(claimed) / true
-                scores[kind] = 1.0 if WEIGHT_RATIO_LOW <= ratio <= WEIGHT_RATIO_HIGH else 0.0
-        elif gold_name is not None:
-            scores[kind] = 1.0 if str(claimed).casefold() == gold_name.casefold() else 0.0
-        # A masked IUPAC name without a reference name stays ungraded.
+    scores = score_claims(rationale.components, gold, catalog, recall)
+    # A masked IUPAC name without a reference name stays ungraded.
+    if ComponentKind.IUPAC_NAME in rationale.mask and gold_name is not None:
+        claimed = str(rationale.components[ComponentKind.IUPAC_NAME])
+        scores[ComponentKind.IUPAC_NAME] = (
+            1.0 if claimed.casefold() == gold_name.casefold() else 0.0
+        )
     return scores
 
 

@@ -15,13 +15,20 @@ one phantom carrying the mean atomic number of its aromatic neighbors,
 which keeps the comparison independent of any particular Kekule layout.
 Isotope mass numbers break remaining ties; anything still tied is reported
 as Unresolved rather than guessed.
+
+COMPONENTS is the one table of extractable components: for each kind, its
+profile field, its extractor and its scorer.  Profiles, rationales built
+from them and every score read it, so a molecule can be scored on just the
+components a rationale asserts.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .catalog import Catalog, functional_group_names, ring_compound_names
 from .elements import ATOMIC_WEIGHTS
@@ -38,6 +45,24 @@ from .smiles import _permutation_parity, canonical_order
 
 MAX_CHAIN_CARBONS = 64
 _CIP_MAX_SPHERES = 16
+WEIGHT_RATIO_LOW = 0.95
+WEIGHT_RATIO_HIGH = 1.05
+
+
+class ComponentKind(Enum):
+    """The eight structural components; values double as JSON keys."""
+
+    FORMULA = "formula"
+    LONGEST_CHAIN = "longest_chain"
+    AROMATIC_RINGS = "aromatic_rings"
+    RING_COMPOUNDS = "ring_compounds"
+    FUNCTIONAL_GROUPS = "functional_groups"
+    CHIRALITY = "chirality"
+    MOLECULAR_WEIGHT = "molecular_weight"
+    IUPAC_NAME = "iupac_name"
+
+
+CANONICAL_ORDER: tuple[ComponentKind, ...] = tuple(ComponentKind)
 
 
 class Configuration(Enum):
@@ -232,18 +257,15 @@ def _branch_spheres(mol: Molecule, center: int, first: int) -> tuple[_Spheres, _
     return tuple(z_spheres), tuple(i_spheres)
 
 
-def chiral_centers(
-    mol: Molecule, canonical_positions: dict[int, int] | None = None
-) -> list[tuple[int, Configuration]]:
+def chiral_centers(mol: Molecule) -> list[tuple[int, Configuration]]:
     """(canonical position, configuration) for every annotated 4-branch atom.
 
     Atoms with a chirality tag but fewer than four substituent branches
     (counting each hydrogen as a branch) are skipped: the tag cannot be
     interpreted as a tetrahedral center.  Ties surviving Rule 1a and the
-    isotope tie-break yield UNRESOLVED.
+    isotope tie-break yield UNRESOLVED.  Canonical numbering runs only
+    when there is a center to number.
     """
-    if canonical_positions is None:
-        canonical_positions = {a: k for k, a in enumerate(canonical_order(mol))}
     centers: list[tuple[int, Configuration]] = []
     for atom in mol.atoms:
         if atom.chirality is Chirality.NONE:
@@ -254,10 +276,9 @@ def chiral_centers(
         keys = {
             branch: _branch_spheres(mol, atom.index, branch) for branch in set(recorded)
         }
-        position = canonical_positions[atom.index]
         ranked = sorted(set(recorded), key=lambda b: keys[b], reverse=True)
         if len(set(keys.values())) != len(keys) or len(ranked) != 4:
-            centers.append((position, Configuration.UNRESOLVED))
+            centers.append((atom.index, Configuration.UNRESOLVED))
             continue
         p1, p2, p3, p4 = ranked
         parity = _permutation_parity(recorded, [p4, p1, p2, p3])
@@ -269,10 +290,115 @@ def chiral_centers(
                 else Chirality.ANTICLOCKWISE
             )
         centers.append(
-            (position, Configuration.R if tag is Chirality.ANTICLOCKWISE else Configuration.S)
+            (atom.index, Configuration.R if tag is Chirality.ANTICLOCKWISE else Configuration.S)
         )
-    centers.sort(key=lambda item: item[0])
-    return centers
+    if not centers:
+        return []
+    position = {a: k for k, a in enumerate(canonical_order(mol))}
+    return sorted(((position[a], config) for a, config in centers), key=lambda c: c[0])
+
+
+# ---------------------------------------------------------------------------
+# The component table
+
+
+def _exact(claimed: object, actual: object, recall: bool) -> float:
+    return 1.0 if claimed == actual else 0.0
+
+
+def _multiset(claimed: object, actual: object, recall: bool) -> float:
+    """Jaccard overlap (1 when both are empty), or with ``recall`` the share
+    of actual that was claimed (1 when actual is empty)."""
+    a, b = Counter(claimed), Counter(actual)  # type: ignore[arg-type]
+    if recall:
+        return sum((a & b).values()) / sum(b.values()) if b else 1.0
+    return sum((a & b).values()) / sum((a | b).values()) if a or b else 1.0
+
+
+def _labels(centers: object) -> Counter:
+    return Counter(config for _, config in centers)  # type: ignore[attr-defined]
+
+
+def _chirality(claimed: object, actual: object, recall: bool) -> float:
+    """R/S/Unresolved labels as a multiset; atom numbers are ignored."""
+    return 1.0 if _labels(claimed) == _labels(actual) else 0.0
+
+
+def _weight_band(claimed: object, actual: object, recall: bool) -> float:
+    """1 when actual / claimed lies in the band; a nonpositive claim must be exact."""
+    claimed, actual = float(claimed), float(actual)  # type: ignore[arg-type]
+    if claimed <= 0:
+        return 1.0 if actual == claimed else 0.0
+    return 1.0 if WEIGHT_RATIO_LOW <= actual / claimed <= WEIGHT_RATIO_HIGH else 0.0
+
+
+class Component(NamedTuple):
+    """Profile field, extractor (perceived molecule, catalog) -> value, and
+    scorer (claimed, actual, recall) -> [0, 1] of one extractable kind."""
+
+    field: str
+    extract: Callable[[Molecule, Catalog | None], object]
+    score: Callable[[object, object, bool], float]
+
+
+COMPONENTS: dict[ComponentKind, Component] = {
+    ComponentKind.FORMULA: Component("formula", lambda m, _: molecular_formula(m), _exact),
+    ComponentKind.LONGEST_CHAIN: Component(
+        "longest_chain", lambda m, _: longest_carbon_chain(m), _exact
+    ),
+    ComponentKind.AROMATIC_RINGS: Component(
+        "aromatic_ring_count", lambda m, _: aromatic_ring_count(m), _exact
+    ),
+    ComponentKind.RING_COMPOUNDS: Component(
+        "ring_compounds",
+        lambda m, c: tuple(sorted(ring_compound_names(m, c).elements())),
+        _multiset,
+    ),
+    ComponentKind.FUNCTIONAL_GROUPS: Component(
+        "functional_groups",
+        lambda m, c: tuple(sorted(functional_group_names(m, c).elements())),
+        _multiset,
+    ),
+    ComponentKind.CHIRALITY: Component(
+        "chiral_centers", lambda m, _: tuple(chiral_centers(m)), _chirality
+    ),
+    ComponentKind.MOLECULAR_WEIGHT: Component(
+        "molecular_weight", lambda m, _: molecular_weight(m), _weight_band
+    ),
+}
+EXTRACTABLE_KINDS: frozenset[ComponentKind] = frozenset(COMPONENTS)
+CORE_KINDS: frozenset[ComponentKind] = EXTRACTABLE_KINDS - {ComponentKind.MOLECULAR_WEIGHT}
+
+
+def component_values(
+    source: Molecule | StructuralProfile,
+    kinds: Iterable[ComponentKind],
+    catalog: Catalog | None = None,
+) -> dict[ComponentKind, object]:
+    """Values of some extractable kinds, read from a profile or computed
+    from a molecule (perceived first if needed) for just those kinds.
+
+    Raises:
+        SizeLimitError: The chain is computed for more than 64 non-ring carbons.
+    """
+    if isinstance(source, StructuralProfile):
+        return {kind: getattr(source, COMPONENTS[kind].field) for kind in kinds}
+    if source.rings is None:
+        perceive(source)
+    return {kind: COMPONENTS[kind].extract(source, catalog) for kind in kinds}
+
+
+def score_claims(
+    claims: Mapping[ComponentKind, object],
+    source: Molecule | StructuralProfile,
+    catalog: Catalog | None = None,
+    recall: bool = False,
+) -> dict[ComponentKind, float]:
+    """Scores of the extractable claims, in canonical order; claims of other
+    kinds (the IUPAC name) are left to the caller."""
+    kinds = [kind for kind in COMPONENTS if kind in claims]
+    actual = component_values(source, kinds, catalog)
+    return {kind: COMPONENTS[kind].score(claims[kind], actual[kind], recall) for kind in kinds}
 
 
 def extract_profile(mol: Molecule, catalog: Catalog | None = None) -> StructuralProfile:
@@ -284,16 +410,5 @@ def extract_profile(mol: Molecule, catalog: Catalog | None = None) -> Structural
     Raises:
         SizeLimitError: Propagated from the chain search.
     """
-    if mol.rings is None:
-        perceive(mol)
-    rings = ring_compound_names(mol, catalog)
-    groups = functional_group_names(mol, catalog)
-    return StructuralProfile(
-        formula=molecular_formula(mol),
-        longest_chain=longest_carbon_chain(mol),
-        aromatic_ring_count=aromatic_ring_count(mol),
-        ring_compounds=tuple(sorted(rings.elements())),
-        functional_groups=tuple(sorted(groups.elements())),
-        chiral_centers=tuple(chiral_centers(mol)),
-        molecular_weight=molecular_weight(mol),
-    )
+    values = component_values(mol, COMPONENTS, catalog)
+    return StructuralProfile(**{COMPONENTS[kind].field: v for kind, v in values.items()})

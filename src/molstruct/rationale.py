@@ -37,42 +37,18 @@ from enum import Enum
 from typing import Iterable
 
 from .errors import EmptyRationaleError, RationaleParseError
-from .profile import Configuration, StructuralProfile
-
-TEMPLATE_VERSION = "MSR-template-v1"
-
-
-class ComponentKind(Enum):
-    """The eight structural components; values double as JSON keys."""
-
-    FORMULA = "formula"
-    LONGEST_CHAIN = "longest_chain"
-    AROMATIC_RINGS = "aromatic_rings"
-    RING_COMPOUNDS = "ring_compounds"
-    FUNCTIONAL_GROUPS = "functional_groups"
-    CHIRALITY = "chirality"
-    MOLECULAR_WEIGHT = "molecular_weight"
-    IUPAC_NAME = "iupac_name"
-
-
-CANONICAL_ORDER: tuple[ComponentKind, ...] = (
-    ComponentKind.FORMULA,
-    ComponentKind.LONGEST_CHAIN,
-    ComponentKind.AROMATIC_RINGS,
-    ComponentKind.RING_COMPOUNDS,
-    ComponentKind.FUNCTIONAL_GROUPS,
-    ComponentKind.CHIRALITY,
-    ComponentKind.MOLECULAR_WEIGHT,
-    ComponentKind.IUPAC_NAME,
+from .profile import (  # the component names stay importable from here
+    CANONICAL_ORDER,
+    COMPONENTS,
+    CORE_KINDS,  # noqa: F401
+    EXTRACTABLE_KINDS,
+    ComponentKind,
+    Configuration,
+    StructuralProfile,
+    component_values,
 )
 
-EXTRACTABLE_KINDS: frozenset[ComponentKind] = frozenset(CANONICAL_ORDER) - {
-    ComponentKind.IUPAC_NAME
-}
-
-CORE_KINDS: frozenset[ComponentKind] = EXTRACTABLE_KINDS - {
-    ComponentKind.MOLECULAR_WEIGHT
-}
+TEMPLATE_VERSION = "MSR-template-v1"
 
 
 class RationaleFormat(Enum):
@@ -113,9 +89,6 @@ class Rationale:
     def __hash__(self) -> int:
         return hash((self.mask, tuple(sorted(self.components.items(), key=lambda i: i[0].value))))
 
-    def value(self, kind: ComponentKind) -> object:
-        return self.components[kind]
-
 
 def from_profile(
     profile: StructuralProfile, mask: Iterable[ComponentKind] | None = None
@@ -135,17 +108,8 @@ def from_profile(
     if unsupported:
         names = ", ".join(sorted(kind.value for kind in unsupported))
         raise ValueError(f"components not extractable from a profile: {names}")
-    values: dict[ComponentKind, object] = {
-        ComponentKind.FORMULA: profile.formula,
-        ComponentKind.LONGEST_CHAIN: profile.longest_chain,
-        ComponentKind.AROMATIC_RINGS: profile.aromatic_ring_count,
-        ComponentKind.RING_COMPOUNDS: profile.ring_compounds,
-        ComponentKind.FUNCTIONAL_GROUPS: profile.functional_groups,
-        ComponentKind.CHIRALITY: profile.chiral_centers,
-        ComponentKind.MOLECULAR_WEIGHT: profile.molecular_weight,
-    }
     return Rationale(
-        components={kind: values[kind] for kind in CANONICAL_ORDER if kind in wanted},
+        components=component_values(profile, (kind for kind in COMPONENTS if kind in wanted)),
         mask=wanted,
     )
 

@@ -13,59 +13,15 @@ structure and scores 0.  The overall ratio is the mean over the mask.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .catalog import Catalog
 from .errors import EmptyRationaleError
 from .graph import Molecule
-from .profile import StructuralProfile, extract_profile
-from .rationale import ComponentKind, Rationale
+from .profile import CANONICAL_ORDER, ComponentKind, StructuralProfile, score_claims
+from .rationale import Rationale
 from .smiles import parse
-
-WEIGHT_RATIO_LOW = 0.95
-WEIGHT_RATIO_HIGH = 1.05
-
-
-def _jaccard(claimed: tuple[str, ...], actual: tuple[str, ...]) -> float:
-    if not claimed and not actual:
-        return 1.0
-    a, b = Counter(claimed), Counter(actual)
-    return sum((a & b).values()) / sum((a | b).values())
-
-
-def _weight_score(claimed: float, actual: float) -> float:
-    if claimed <= 0:
-        return 1.0 if actual == claimed else 0.0
-    return 1.0 if WEIGHT_RATIO_LOW <= actual / claimed <= WEIGHT_RATIO_HIGH else 0.0
-
-
-def _configuration_labels(value: object) -> Counter:
-    return Counter(config.value for _, config in value)  # type: ignore[union-attr]
-
-
-def _component_score(
-    kind: ComponentKind, claimed: object, profile: StructuralProfile
-) -> float:
-    if kind is ComponentKind.FORMULA:
-        return 1.0 if claimed == profile.formula else 0.0
-    if kind is ComponentKind.LONGEST_CHAIN:
-        return 1.0 if claimed == profile.longest_chain else 0.0
-    if kind is ComponentKind.AROMATIC_RINGS:
-        return 1.0 if claimed == profile.aromatic_ring_count else 0.0
-    if kind is ComponentKind.RING_COMPOUNDS:
-        return _jaccard(tuple(claimed), profile.ring_compounds)
-    if kind is ComponentKind.FUNCTIONAL_GROUPS:
-        return _jaccard(tuple(claimed), profile.functional_groups)
-    if kind is ComponentKind.CHIRALITY:
-        claimed_labels = _configuration_labels(claimed)
-        actual_labels = _configuration_labels(profile.chiral_centers)
-        return 1.0 if claimed_labels == actual_labels else 0.0
-    if kind is ComponentKind.MOLECULAR_WEIGHT:
-        return _weight_score(float(claimed), profile.molecular_weight)
-    # An IUPAC name claim is unverifiable from the structure alone.
-    return 0.0
 
 
 def matching_ratio(
@@ -75,6 +31,10 @@ def matching_ratio(
     weights: Mapping[ComponentKind, float] | None = None,
 ) -> tuple[float, dict[ComponentKind, float]]:
     """Score a candidate structure against a rationale.
+
+    Only the asserted components are computed from a molecule, and scores
+    are summed in canonical component order, so the ratio does not depend
+    on the hash seed.
 
     Args:
         rationale: Claims to check.
@@ -88,17 +48,15 @@ def matching_ratio(
 
     Raises:
         EmptyRationaleError: The rationale mask is empty.
+        SizeLimitError: The chain is asserted and the candidate molecule
+            has more than 64 non-ring carbons.
     """
     if not rationale.mask:
         raise EmptyRationaleError("cannot score against an empty rationale")
-    profile = (
-        candidate
-        if isinstance(candidate, StructuralProfile)
-        else extract_profile(candidate, catalog)
-    )
+    scores = score_claims(rationale.components, candidate, catalog)
+    # An IUPAC name claim is unverifiable from the structure alone.
     per_component = {
-        kind: _component_score(kind, rationale.components[kind], profile)
-        for kind in rationale.mask
+        kind: scores.get(kind, 0.0) for kind in CANONICAL_ORDER if kind in rationale.mask
     }
     if weights is None:
         overall = sum(per_component.values()) / len(per_component)
@@ -141,24 +99,35 @@ def select(
 
     Unparseable candidates rank below every parseable one.  Ties break
     toward the lowest index.  When every candidate fails to parse, index
-    0 is reported with all_failed set.
+    0 is reported with all_failed set.  A string repeated in the list is
+    parsed and scored once; each entry still gets its own result.
 
     Raises:
         ValueError: Empty candidate list.
         EmptyRationaleError: The rationale mask is empty.
+        SizeLimitError: The chain is asserted and a candidate has more
+            than 64 non-ring carbons.
     """
     if not candidates:
         raise ValueError("candidate list is empty")
     if not rationale.mask:
         raise EmptyRationaleError("cannot select with an empty rationale")
+    # None marks an unparseable string.
+    results: dict[str, tuple[float, dict[ComponentKind, float]] | None] = {}
     scored: list[CandidateScore] = []
     for smiles in candidates:
-        molecule = parse(smiles)
-        if isinstance(molecule, Molecule):
-            ratio, per_component = matching_ratio(rationale, molecule, catalog, weights)
-            scored.append(CandidateScore(smiles, True, ratio, per_component))
-        else:
+        if smiles not in results:
+            molecule = parse(smiles)
+            results[smiles] = (
+                matching_ratio(rationale, molecule, catalog, weights)
+                if isinstance(molecule, Molecule)
+                else None
+            )
+        result = results[smiles]
+        if result is None:
             scored.append(CandidateScore(smiles, False, None, {}))
+        else:
+            scored.append(CandidateScore(smiles, True, result[0], dict(result[1])))
 
     best_index = 0
     best = -math.inf

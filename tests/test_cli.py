@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from molstruct import extract_profile, from_profile, parse_strict, render
 from molstruct.cli import main
 
 
@@ -135,6 +137,28 @@ class TestSelect:
         assert record["candidates"][3]["matching_ratio"] is None
         assert record["candidates"][1]["matching_ratio"] == 1.0
         assert record["candidates"][1]["components"]["formula"] == 1.0
+
+    def test_output_is_independent_of_the_hash_seed(self) -> None:
+        # Ratios of these candidates against ethene's full rationale sum
+        # seven scores, including 1/3, whose float sum depends on the order.
+        line = json.dumps({
+            "rationale": render(from_profile(extract_profile(parse_strict("C=C")))),
+            "candidates": ["F/C=C/F", "CC=C", "F/C=C\\F", "C=C"],
+        })
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = set()
+        for seed in range(6):
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from molstruct.cli import main; sys.exit(main(['select']))"],
+                input=line + "\n",
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
 
     def test_reliable_narrows_mask(self, tmp_path, capsys) -> None:
         code, records, _ = run_cli(

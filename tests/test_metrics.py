@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
-from molstruct.errors import EmptyRationaleError, WidthMismatchError
+from molstruct.errors import EmptyRationaleError, SizeLimitError, WidthMismatchError
 from molstruct.metrics import (
     Fingerprint,
     aggregate_accuracy,
@@ -217,6 +218,24 @@ class TestScoreReasoning:
         bad = Rationale({K.MOLECULAR_WEIGHT: 80.0}, frozenset({K.MOLECULAR_WEIGHT}))
         assert score_reasoning(mol, good)[K.MOLECULAR_WEIGHT] == 1.0
         assert score_reasoning(mol, bad)[K.MOLECULAR_WEIGHT] == 0.0
+
+    def test_weight_band_is_true_over_claimed(self) -> None:
+        # the band of matching_ratio: 95.2 / 100 passes, 94.9 / 100 fails
+        profile = dataclasses.replace(
+            extract_profile(parse_strict("C")), molecular_weight=95.2
+        )
+        claim = Rationale({K.MOLECULAR_WEIGHT: 100.0}, frozenset({K.MOLECULAR_WEIGHT}))
+        assert score_reasoning(profile, claim)[K.MOLECULAR_WEIGHT] == 1.0
+        profile = dataclasses.replace(profile, molecular_weight=94.9)
+        assert score_reasoning(profile, claim)[K.MOLECULAR_WEIGHT] == 0.0
+
+    def test_long_chain_gold_scores_unless_chain_asserted(self) -> None:
+        mol = parse_strict("C" * 65)
+        formula = Rationale({K.FORMULA: "C65H132"}, frozenset({K.FORMULA}))
+        assert score_reasoning(mol, formula) == {K.FORMULA: 1.0}
+        chain = Rationale({K.LONGEST_CHAIN: 65}, frozenset({K.LONGEST_CHAIN}))
+        with pytest.raises(SizeLimitError):
+            score_reasoning(mol, chain)
 
     def test_empty_mask_raises(self) -> None:
         with pytest.raises(EmptyRationaleError):

@@ -165,6 +165,14 @@ class TestChirality:
         # three-neighbor stereo tags carry no tetrahedral information
         assert list(chiral_centers(parse_strict("C[C@@](C)C"))) == []
 
+    def test_untagged_molecule_skips_canonical_numbering(self, monkeypatch) -> None:
+        def fail(mol):
+            raise AssertionError("canonical_order called")
+
+        monkeypatch.setattr("molstruct.profile.canonical_order", fail)
+        assert chiral_centers(parse_strict("CC(O)CC(=O)Oc1ccccc1")) == []
+        assert extract_profile(parse_strict("CCC(C)O")).chiral_centers == ()
+
 
 class TestProfile:
     def test_butanol_profile(self) -> None:

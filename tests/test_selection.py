@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from molstruct.errors import EmptyRationaleError
+from molstruct.errors import EmptyRationaleError, SizeLimitError
 from molstruct.profile import Configuration, StructuralProfile, extract_profile
 from molstruct.rationale import ComponentKind, Rationale, from_profile
 from molstruct.selection import matching_ratio, select
@@ -197,3 +197,29 @@ class TestSelect:
         report = select(rationale, ["(((", "C"])
         assert report.selected_index == 1
         assert report.per_candidate[1].matching_ratio == 0.0
+
+    def test_repeated_strings_score_like_separate_calls(self) -> None:
+        rationale = from_profile(extract_profile(parse_strict("C[C@@H](O)CC")))
+        candidates = [
+            "CCCCO", "(((", "C[C@@H](O)CC", "CCCCO", "(((", "C[C@H](O)CC", "C[C@@H](O)CC",
+        ]
+        report = select(rationale, candidates)
+        singles = [select(rationale, [smiles]).per_candidate[0] for smiles in candidates]
+        assert report.per_candidate == tuple(singles)
+        assert report.selected_index == 2
+        dicts = [entry.per_component for entry in report.per_candidate]
+        assert len({id(d) for d in dicts}) == len(candidates)
+
+    def test_long_chain_candidate_scores_when_chain_not_asserted(self) -> None:
+        long_chain = "C" * 65
+        formula_only = Rationale({K.FORMULA: "C65H132"}, frozenset({K.FORMULA}))
+        report = select(formula_only, ["CCO", long_chain])
+        assert report.selected_index == 1
+        assert report.per_candidate[1].matching_ratio == 1.0
+
+        with_chain = Rationale(
+            {K.FORMULA: "C65H132", K.LONGEST_CHAIN: 65},
+            frozenset({K.FORMULA, K.LONGEST_CHAIN}),
+        )
+        with pytest.raises(SizeLimitError):
+            select(with_chain, ["CCO", long_chain])
