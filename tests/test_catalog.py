@@ -235,3 +235,88 @@ class TestCatalogConfig:
 
     def test_default_catalog_is_cached(self) -> None:
         assert Catalog.default() is Catalog.default()
+
+
+def pattern_matches(pattern: str, smiles: str) -> int:
+    """Surviving matches of one pattern, compiled through a catalog line."""
+    catalog = Catalog.from_text(f"group | p | {pattern} | 1\n")
+    return groups(smiles, catalog)["p"]
+
+
+class TestPatternNotation:
+    @pytest.mark.parametrize(
+        "pattern,smiles,count",
+        [
+            # bracket alternatives
+            ("[C]", "c1ccccc1CCO", 2),
+            ("[c]", "c1ccccc1CCO", 6),
+            ("[n]", "c1ccncc1", 1),
+            ("[Cl]", "ClCCCl", 2),
+            ("[Br,I]", "BrCCI", 2),
+            ("[#6]", "c1ccccc1CCO", 8),
+            ("[#8]", "OCC=O", 2),
+            ("[a]", "c1ccccc1O", 6),
+            ("[A]", "c1ccccc1O", 1),
+            ("[C;H3]", "CC(C)CO", 2),
+            ("[O;H1]", "OCC=O", 1),
+            ("[C;H0]", "CC(C)(C)C=O", 1),
+            ("[C;D1]", "CC(C)CO", 2),
+            ("[C;D3]", "CC(C)CO", 1),
+            ("[N;+1]", "C[N+](=O)[O-]", 1),
+            ("[O;-1]", "C[N+](=O)[O-]", 1),
+            ("[O;+0]", "C[N+](=O)[O-]", 1),
+            ("[X]", "FC(Cl)(Br)I", 4),
+            ("[X]", "Clc1ccccc1", 1),
+            ("[*]", "CCO", 3),
+            ("[O,N]", "OCCN", 2),
+            ("[C,c;H2]", "c1ccccc1CCO", 2),
+            # bare atoms
+            ("*", "CCO", 3),
+            ("*", "[Na+].[Cl-]", 2),
+            ("Cl", "ClCCBr", 1),
+            ("Br", "ClCCBr", 1),
+            ("c", "c1ccccc1C", 6),
+            ("n", "c1ccncc1", 1),
+            ("o", "c1ccoc1", 1),
+            # bonds: default is single or aromatic
+            ("CC", "CC=CC#CC", 3),
+            ("C-C", "CC=CC#CC", 3),
+            ("C=C", "CC=CC#CC", 1),
+            ("C#C", "CC=CC#CC", 1),
+            ("C~C", "CC=CC#CC", 5),
+            ("C:C", "CC=CC#CC", 0),
+            ("cc", "c1ccccc1-c1ccccc1", 13),
+            ("c-c", "c1ccccc1-c1ccccc1", 1),
+            ("c:c", "c1ccccc1-c1ccccc1", 12),
+            ("c~c", "c1ccccc1-c1ccccc1", 13),
+            ("c=c", "c1ccccc1-c1ccccc1", 0),
+            ("CO", "CC(=O)OC", 2),
+            ("C=O", "CC(=O)OC", 1),
+            ("C~O", "CC(=O)OC", 3),
+            ("C(=O)O", "CC(=O)OC", 1),
+            ("*~*", "CC#N", 2),
+        ],
+    )
+    def test_documented_notation(self, pattern: str, smiles: str, count: int) -> None:
+        assert pattern_matches(pattern, smiles) == count
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("group | p | [C;%] | 1", "bad constraint alternative"),
+            ("group | p | [Q] | 1", "unknown element"),
+            ("group | p | [C;H1 | 1", "unterminated bracket"),
+            ("group | p | C==C | 1", "misplaced bond"),
+            ("group | p | =C | 1", "misplaced bond"),
+            ("group | p | (C)C | 1", "branch before any atom"),
+            ("group | p | C)C | 1", r"unbalanced '\)'"),
+            ("group | p | C1CC1 | 1", "unexpected character"),
+            ("group | p | C(C | 1", r"unbalanced '\('"),
+            ("group | p | CC= | 1", "dangling bond"),
+            ("group | p |  | 1", "empty pattern"),
+            ("group | halide ({X}) | CCl | 1", "no X slot"),
+        ],
+    )
+    def test_malformed_pattern_rejected(self, line: str, message: str) -> None:
+        with pytest.raises(CatalogError, match=message):
+            Catalog.from_text(line + "\n")
