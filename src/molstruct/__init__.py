@@ -10,7 +10,6 @@ from .errors import (
     EmptyRationaleError,
     MolstructError,
     RationaleParseError,
-    SizeLimitError,
     ValenceError,
     WidthMismatchError,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "RationaleSource",
     "Ring",
     "SelectionReport",
-    "SizeLimitError",
     "StructuralProfile",
     "TEMPLATE_VERSION",
     "ValenceError",

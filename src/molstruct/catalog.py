@@ -37,6 +37,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from typing import Callable
 
 from .elements import SYMBOL_TO_NUMBER
 from .errors import CatalogError
@@ -102,63 +103,53 @@ _ALT_RE = re.compile(
 _BARE_TWO = ("Cl", "Br")
 _BARE_ONE = frozenset("BCNOPSFI")
 _BARE_AROMATIC = frozenset("bcnops")
-_PATTERN_BOND = {"-", "=", "#", ":", "~"}
+# Bond orders each pattern bond symbol accepts; None is the unwritten default.
+_BOND_ORDERS: dict[str | None, frozenset[BondOrder]] = {
+    None: frozenset({BondOrder.SINGLE, BondOrder.AROMATIC}),
+    "-": frozenset({BondOrder.SINGLE}),
+    "=": frozenset({BondOrder.DOUBLE}),
+    "#": frozenset({BondOrder.TRIPLE}),
+    ":": frozenset({BondOrder.AROMATIC}),
+    "~": frozenset(BondOrder),
+}
+
+# An atom test: does atom idx of the molecule satisfy one alternative?
+_AtomTest = Callable[[Molecule, int], bool]
 
 
-@dataclass(frozen=True, slots=True)
-class _Alt:
-    """One alternative inside a constraint term."""
-
-    field: str
-    value: object
-
-    def holds(self, mol: Molecule, idx: int) -> bool:
+def _element(symbol: str, aromatic: bool) -> _AtomTest:
+    def test(mol: Molecule, idx: int) -> bool:
         atom = mol.atoms[idx]
-        if self.field == "elem":
-            return atom.element == self.value and not atom.is_aromatic
-        if self.field == "arom_elem":
-            return atom.element == self.value and atom.is_aromatic
-        if self.field == "number":
-            return atom.atomic_number == self.value
-        if self.field == "aromatic":
-            return atom.is_aromatic is self.value
-        if self.field == "hcount":
-            return atom.total_h == self.value
-        if self.field == "degree":
-            return mol.heavy_degree(idx) == self.value
-        if self.field == "charge":
-            return atom.charge == self.value
-        if self.field == "halogen":
-            return atom.element in HALOGENS and not atom.is_aromatic
-        return True  # "any"
+        return atom.element == symbol and atom.is_aromatic == aromatic
+
+    return test
+
+
+def _any_atom(mol: Molecule, idx: int) -> bool:
+    return True
 
 
 @dataclass(frozen=True, slots=True)
 class _PatternAtom:
-    terms: tuple[tuple[_Alt, ...], ...]
+    terms: tuple[tuple[_AtomTest, ...], ...]
     is_halogen_slot: bool = False
 
     def matches(self, mol: Molecule, idx: int) -> bool:
-        return all(any(alt.holds(mol, idx) for alt in term) for term in self.terms)
+        # Plain loops: nested all/any generators cost more than the tests.
+        for term in self.terms:
+            for test in term:
+                if test(mol, idx):
+                    break
+            else:
+                return False
+        return True
 
 
 @dataclass(frozen=True, slots=True)
 class _PatternEdge:
     parent: int
     child: int
-    bond: str | None  # one of the bond chars, or None for the default
-
-    def accepts(self, order: BondOrder) -> bool:
-        if self.bond is None:
-            return order in (BondOrder.SINGLE, BondOrder.AROMATIC)
-        if self.bond == "~":
-            return True
-        return order is {
-            "-": BondOrder.SINGLE,
-            "=": BondOrder.DOUBLE,
-            "#": BondOrder.TRIPLE,
-            ":": BondOrder.AROMATIC,
-        }[self.bond]
+    orders: frozenset[BondOrder]  # bond orders the edge accepts
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,13 +166,16 @@ class GroupPattern:
         return "{X}" in self.name
 
 
-def _parse_alt(text: str) -> _Alt:
+def _parse_alt(text: str) -> _AtomTest:
+    """The atom test of one alternative inside a constraint term."""
     if text == "a":
-        return _Alt("aromatic", True)
+        return lambda mol, idx: mol.atoms[idx].is_aromatic
     if text == "A":
-        return _Alt("aromatic", False)
+        return lambda mol, idx: not mol.atoms[idx].is_aromatic
     if text == "X":
-        return _Alt("halogen", None)
+        return lambda mol, idx: (
+            mol.atoms[idx].element in HALOGENS and not mol.atoms[idx].is_aromatic
+        )
     match = _ALT_RE.match(text)
     if match is None:
         raise CatalogError(f"bad constraint alternative {text!r}")
@@ -189,29 +183,30 @@ def _parse_alt(text: str) -> _Alt:
         symbol = match.group("elem")
         if symbol not in SYMBOL_TO_NUMBER:
             raise CatalogError(f"unknown element {symbol!r} in pattern")
-        return _Alt("elem", symbol)
+        return _element(symbol, False)
     if match.group("arom"):
-        return _Alt("arom_elem", match.group("arom").capitalize())
+        return _element(match.group("arom").capitalize(), True)
     if match.group("num"):
-        return _Alt("number", int(match.group("num")))
+        number = int(match.group("num"))
+        return lambda mol, idx: mol.atoms[idx].atomic_number == number
     if match.group("hcount"):
-        return _Alt("hcount", int(match.group("hcount")))
+        hcount = int(match.group("hcount"))
+        return lambda mol, idx: mol.atoms[idx].total_h == hcount
     if match.group("degree"):
-        return _Alt("degree", int(match.group("degree")))
+        degree = int(match.group("degree"))
+        return lambda mol, idx: mol.heavy_degree(idx) == degree
     if match.group("charge"):
-        return _Alt("charge", int(match.group("charge")))
-    return _Alt("any", None)
+        charge = int(match.group("charge"))
+        return lambda mol, idx: mol.atoms[idx].charge == charge
+    return _any_atom
 
 
 def _parse_bracket_atom(body: str) -> _PatternAtom:
-    terms = []
-    is_halogen = False
-    for raw_term in body.split(";"):
-        alts = tuple(_parse_alt(alt.strip()) for alt in raw_term.split(","))
-        if any(alt.field == "halogen" for alt in alts):
-            is_halogen = True
-        terms.append(alts)
-    return _PatternAtom(terms=tuple(terms), is_halogen_slot=is_halogen)
+    terms = [[alt.strip() for alt in term.split(",")] for term in body.split(";")]
+    return _PatternAtom(
+        terms=tuple(tuple(_parse_alt(alt) for alt in term) for term in terms),
+        is_halogen_slot=any("X" in term for term in terms),
+    )
 
 
 def compile_pattern(name: str, text: str, precedence: int) -> GroupPattern:
@@ -237,18 +232,18 @@ def compile_pattern(name: str, text: str, precedence: int) -> GroupPattern:
             atom = _parse_bracket_atom(text[i + 1 : end])
             i = end + 1
         elif text.startswith(_BARE_TWO, i):
-            atom = _PatternAtom(terms=((_Alt("elem", text[i : i + 2]),),))
+            atom = _PatternAtom(terms=((_element(text[i : i + 2], False),),))
             i += 2
         elif ch in _BARE_ONE:
-            atom = _PatternAtom(terms=((_Alt("elem", ch),),))
+            atom = _PatternAtom(terms=((_element(ch, False),),))
             i += 1
         elif ch in _BARE_AROMATIC:
-            atom = _PatternAtom(terms=((_Alt("arom_elem", ch.capitalize()),),))
+            atom = _PatternAtom(terms=((_element(ch.capitalize(), True),),))
             i += 1
         elif ch == "*":
-            atom = _PatternAtom(terms=((_Alt("any", None),),))
+            atom = _PatternAtom(terms=((_any_atom,),))
             i += 1
-        elif ch in _PATTERN_BOND:
+        elif ch in _BOND_ORDERS:
             if pending is not None or prev is None:
                 raise CatalogError(f"misplaced bond symbol in pattern {text!r}")
             pending = ch
@@ -274,9 +269,7 @@ def compile_pattern(name: str, text: str, precedence: int) -> GroupPattern:
             halogen_slots += 1
         atoms.append(atom)
         if prev is not None:
-            edges.append(_PatternEdge(parent=prev, child=idx, bond=pending))
-        elif pending is not None:
-            raise CatalogError(f"bond with no left atom in pattern {text!r}")
+            edges.append(_PatternEdge(parent=prev, child=idx, orders=_BOND_ORDERS[pending]))
         pending = None
         prev = idx
 
@@ -318,7 +311,7 @@ def _embeddings(mol: Molecule, pattern: GroupPattern) -> list[tuple[int, ...]]:
             return
         edge = parent_edge[k]
         for j, bond in mol.bonds_of(assign[edge.parent]):
-            if j in used or not edge.accepts(bond.order):
+            if j in used or bond.order not in edge.orders:
                 continue
             if not nodes[k].matches(mol, j):
                 continue

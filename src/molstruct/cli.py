@@ -38,7 +38,6 @@ from .metrics import (
     compare_pair,
     score_reasoning,
 )
-from .profile import extract_profile
 from .rationale import (
     EXTRACTABLE_KINDS,
     ComponentKind,
@@ -108,18 +107,13 @@ def _analyze_record(config: _JobConfig, line: str) -> dict:
     molecule = parse(smiles)
     if isinstance(molecule, ParseDiagnostic):
         return _diagnostic_record(smiles, molecule)
-    try:
-        profile = extract_profile(molecule, _load_catalog(config.catalog_path))
-        mask = (
-            frozenset(_KEY_TO_KIND[key] for key in config.components)
-            if config.components is not None
-            else None
-        )
-        rationale = from_profile(profile, mask)
-        text = render(rationale, RationaleFormat(config.format))
-    except MolstructError as exc:
-        return {"smiles": smiles, "error": _error_code(exc), "message": str(exc)}
-    return {"smiles": smiles, "rationale": text}
+    mask = (
+        frozenset(_KEY_TO_KIND[key] for key in config.components)
+        if config.components is not None
+        else None
+    )
+    rationale = from_profile(molecule, mask, _load_catalog(config.catalog_path))
+    return {"smiles": smiles, "rationale": render(rationale, RationaleFormat(config.format))}
 
 
 def _canon_record(config: _JobConfig, line: str) -> dict:

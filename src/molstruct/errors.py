@@ -33,10 +33,6 @@ class AromaticityError(MolstructError):
         self.position = position
 
 
-class SizeLimitError(MolstructError):
-    """An extractor was asked to search a subgraph beyond its hard size cap."""
-
-
 class EmptyRationaleError(MolstructError):
     """A rationale with an empty component mask was rendered or scored."""
 

@@ -119,10 +119,6 @@ class Bond:
     direction: str | None = None
     in_ring: bool = False
 
-    def other(self, idx: int) -> int:
-        """Return the endpoint that is not ``idx``."""
-        return self.b if idx == self.a else self.a
-
 
 @dataclass(frozen=True, slots=True)
 class Ring:

@@ -236,8 +236,6 @@ def score_reasoning(
 
     Raises:
         EmptyRationaleError: The rationale mask is empty.
-        SizeLimitError: The chain is asserted and the gold molecule has
-            more than 64 non-ring carbons.
     """
     if not rationale.mask:
         raise EmptyRationaleError("cannot grade an empty rationale")

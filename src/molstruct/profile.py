@@ -32,7 +32,6 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .catalog import Catalog, functional_group_names, ring_compound_names
 from .elements import ATOMIC_WEIGHTS
-from .errors import SizeLimitError
 from .graph import (
     H_BRANCH,
     BondOrder,
@@ -43,7 +42,6 @@ from .graph import (
 )
 from .smiles import _permutation_parity, canonical_order
 
-MAX_CHAIN_CARBONS = 64
 _CIP_MAX_SPHERES = 16
 WEIGHT_RATIO_LOW = 0.95
 WEIGHT_RATIO_HIGH = 1.05
@@ -148,41 +146,36 @@ def _ring_atom_set(mol: Molecule) -> set[int]:
 def longest_carbon_chain(mol: Molecule) -> int:
     """Atom count of the longest simple path over non-ring carbons.
 
-    Exhaustive depth-first search; exact, not heuristic.  Bond order does
-    not matter, only carbon-carbon connectivity outside rings.
-
-    Raises:
-        SizeLimitError: More than 64 non-ring carbons.
+    Carbons on no ring form a forest, so the longest path of each tree is
+    its diameter: the farthest carbon from any start, then the farthest
+    from that one.  Exact and linear in the number of atoms.  Bond order
+    does not matter, only carbon-carbon connectivity outside rings.
     """
     in_ring = _ring_atom_set(mol)
     carbons = [
         a.index for a in mol.atoms if a.element == "C" and a.index not in in_ring
     ]
-    if len(carbons) > MAX_CHAIN_CARBONS:
-        raise SizeLimitError(
-            f"{len(carbons)} non-ring carbons exceed the {MAX_CHAIN_CARBONS}-atom "
-            "chain search limit"
-        )
-    if not carbons:
-        return 0
     carbon_set = set(carbons)
-    adjacency = {
-        i: [j for j in mol.neighbors(i) if j in carbon_set] for i in carbons
-    }
 
-    best = 1
+    def farthest(start: int) -> tuple[int, dict[int, int]]:
+        """Last carbon reached breadth-first, and the depth of each carbon in its tree."""
+        depth = {start: 1}
+        queue = [start]
+        for current in queue:
+            for nxt in mol.neighbors(current):
+                if nxt in carbon_set and nxt not in depth:
+                    depth[nxt] = depth[current] + 1
+                    queue.append(nxt)
+        return queue[-1], depth
 
-    def extend(current: int, visited: set[int], length: int) -> None:
-        nonlocal best
-        best = max(best, length)
-        for nxt in adjacency[current]:
-            if nxt not in visited:
-                visited.add(nxt)
-                extend(nxt, visited, length + 1)
-                visited.discard(nxt)
-
+    best = 0
+    seen: set[int] = set()
     for start in carbons:
-        extend(start, {start}, 1)
+        if start not in seen:
+            end, _ = farthest(start)
+            other_end, depth = farthest(end)
+            seen.update(depth)
+            best = max(best, depth[other_end])
     return best
 
 
@@ -376,11 +369,7 @@ def component_values(
     catalog: Catalog | None = None,
 ) -> dict[ComponentKind, object]:
     """Values of some extractable kinds, read from a profile or computed
-    from a molecule (perceived first if needed) for just those kinds.
-
-    Raises:
-        SizeLimitError: The chain is computed for more than 64 non-ring carbons.
-    """
+    from a molecule (perceived first if needed) for just those kinds."""
     if isinstance(source, StructuralProfile):
         return {kind: getattr(source, COMPONENTS[kind].field) for kind in kinds}
     if source.rings is None:
@@ -406,9 +395,6 @@ def extract_profile(mol: Molecule, catalog: Catalog | None = None) -> Structural
 
     Pure function of the molecular graph.  Runs perception itself when the
     molecule has none yet.
-
-    Raises:
-        SizeLimitError: Propagated from the chain search.
     """
     values = component_values(mol, COMPONENTS, catalog)
     return StructuralProfile(**{COMPONENTS[kind].field: v for kind, v in values.items()})

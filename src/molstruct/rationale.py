@@ -36,7 +36,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
+from .catalog import Catalog
 from .errors import EmptyRationaleError, RationaleParseError
+from .graph import Molecule
 from .profile import (  # the component names stay importable from here
     CANONICAL_ORDER,
     COMPONENTS,
@@ -91,14 +93,19 @@ class Rationale:
 
 
 def from_profile(
-    profile: StructuralProfile, mask: Iterable[ComponentKind] | None = None
+    source: StructuralProfile | Molecule,
+    mask: Iterable[ComponentKind] | None = None,
+    catalog: Catalog | None = None,
 ) -> Rationale:
-    """Build a rationale from an extracted profile.
+    """Build a rationale from an extracted profile, or from a molecule
+    profiled on just the masked components.
 
     Args:
-        profile: Extracted structural profile.
+        source: Extracted structural profile, or a molecule (perceived
+            first if needed).
         mask: Components to include; defaults to all seven extractable
             kinds (everything except the IUPAC name).
+        catalog: Group/ring catalog used when profiling a molecule.
 
     Returns:
         Rationale with source EXTRACTED.
@@ -109,7 +116,9 @@ def from_profile(
         names = ", ".join(sorted(kind.value for kind in unsupported))
         raise ValueError(f"components not extractable from a profile: {names}")
     return Rationale(
-        components=component_values(profile, (kind for kind in COMPONENTS if kind in wanted)),
+        components=component_values(
+            source, (kind for kind in COMPONENTS if kind in wanted), catalog
+        ),
         mask=wanted,
     )
 

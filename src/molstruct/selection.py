@@ -48,8 +48,6 @@ def matching_ratio(
 
     Raises:
         EmptyRationaleError: The rationale mask is empty.
-        SizeLimitError: The chain is asserted and the candidate molecule
-            has more than 64 non-ring carbons.
     """
     if not rationale.mask:
         raise EmptyRationaleError("cannot score against an empty rationale")
@@ -105,8 +103,6 @@ def select(
     Raises:
         ValueError: Empty candidate list.
         EmptyRationaleError: The rationale mask is empty.
-        SizeLimitError: The chain is asserted and a candidate has more
-            than 64 non-ring carbons.
     """
     if not candidates:
         raise ValueError("candidate list is empty")
@@ -140,8 +136,6 @@ def select(
         if entry.matching_ratio > best:
             best = entry.matching_ratio
             best_index = index
-    if not any_ok:
-        best_index = 0
     return SelectionReport(
         per_candidate=tuple(scored),
         selected_index=best_index,

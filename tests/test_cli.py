@@ -73,6 +73,19 @@ class TestAnalyze:
         assert set(inner) == {"formula", "molecular_weight"}
         assert inner["molecular_weight"] == 46.07
 
+    def test_component_mask_computes_only_those_components(
+        self, tmp_path, capsys, monkeypatch
+    ) -> None:
+        def unreachable(*args: object) -> None:
+            raise AssertionError("functional groups were computed")
+
+        monkeypatch.setattr("molstruct.profile.functional_group_names", unreachable)
+        code, records, _ = run_cli(
+            tmp_path, ["analyze", "--components", "formula"], [{"smiles": "C" * 65}], capsys
+        )
+        assert code == 0
+        assert records[0]["rationale"] == "The molecular formula is C65H132."
+
     def test_unknown_component_is_usage_error(self, capsys) -> None:
         assert main(["analyze", "--components", "nope"]) == 2
         capsys.readouterr()

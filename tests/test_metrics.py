@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from molstruct.errors import EmptyRationaleError, SizeLimitError, WidthMismatchError
+from molstruct.errors import EmptyRationaleError, WidthMismatchError
 from molstruct.metrics import (
     Fingerprint,
     aggregate_accuracy,
@@ -234,8 +234,7 @@ class TestScoreReasoning:
         formula = Rationale({K.FORMULA: "C65H132"}, frozenset({K.FORMULA}))
         assert score_reasoning(mol, formula) == {K.FORMULA: 1.0}
         chain = Rationale({K.LONGEST_CHAIN: 65}, frozenset({K.LONGEST_CHAIN}))
-        with pytest.raises(SizeLimitError):
-            score_reasoning(mol, chain)
+        assert score_reasoning(mol, chain) == {K.LONGEST_CHAIN: 1.0}
 
     def test_empty_mask_raises(self) -> None:
         with pytest.raises(EmptyRationaleError):

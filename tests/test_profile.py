@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from molstruct.errors import SizeLimitError
 from molstruct.profile import (
     Configuration,
     chiral_centers,
@@ -111,10 +110,20 @@ class TestLongestChain:
             mol = parse_strict(smiles)
             assert longest_carbon_chain(mol) == longest_chain_oracle(mol), smiles
 
-    def test_size_limit(self) -> None:
-        mol = parse_strict("C" * 65)
-        with pytest.raises(SizeLimitError):
-            longest_carbon_chain(mol)
+    def test_long_chains_are_exact(self) -> None:
+        assert longest_carbon_chain(parse_strict("C" * 65)) == 65
+        assert extract_profile(parse_strict("C" * 2000)).longest_chain == 2000
+
+    @pytest.mark.parametrize(
+        "smiles",
+        [
+            "O" + "CCO" * 200,  # PEG-200: 400 carbons, no C-C path longer than 2
+            "CC(C)(C)" * 100,  # gem-dimethyl branched 400-carbon tree
+        ],
+    )
+    def test_large_trees_match_oracle(self, smiles: str) -> None:
+        mol = parse_strict(smiles)
+        assert longest_carbon_chain(mol) == longest_chain_oracle(mol)
 
     def test_size_limit_boundary_passes(self) -> None:
         assert longest_carbon_chain(parse_strict("C" * 64)) == 64

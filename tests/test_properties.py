@@ -12,7 +12,7 @@ from molstruct.metrics import (
     morgan_fingerprint,
     tanimoto,
 )
-from molstruct.profile import Configuration, extract_profile
+from molstruct.profile import Configuration, extract_profile, longest_carbon_chain
 from molstruct.rationale import (
     ComponentKind,
     Rationale,
@@ -30,7 +30,7 @@ from molstruct.smiles import (
     random_equivalent,
 )
 
-from _oracles import levenshtein_oracle
+from _oracles import levenshtein_oracle, longest_chain_oracle
 from conftest import corpus_rows
 
 CORPUS = [row[0] for row in corpus_rows()]
@@ -40,6 +40,35 @@ K = ComponentKind
 smiles_alphabet = st.sampled_from(list("CcNnOoSsPp()[]=#123456%+-.@/\\BrClIF lH"))
 biased_text = st.lists(smiles_alphabet, max_size=60).map("".join)
 any_text = st.one_of(st.text(max_size=60), biased_text)
+
+
+VALENCE = {"C": 4, "N": 3, "O": 2}
+PENDANT_RINGS = ("C1CC1", "c1ccccc1", "C1CCOC1")
+
+
+@st.composite
+def acyclic_skeletons(draw: st.DrawFn) -> str:
+    """SMILES of a random tree of C, N and O atoms, some bearing a pendant ring."""
+    elements = draw(st.lists(st.sampled_from("CCCCCCNO"), min_size=1, max_size=40))
+    free = [VALENCE[e] for e in elements]
+    children: list[list[int]] = [[] for _ in elements]
+    for i in range(1, len(elements)):
+        open_atoms = [j for j in range(i) if free[j] > 0]
+        if not open_atoms:
+            break
+        # Mostly recent atoms, so trees grow long chains as well as branches.
+        parent = open_atoms[-1 - draw(st.integers(0, min(3, len(open_atoms) - 1)))]
+        children[parent].append(i)
+        free[parent] -= 1
+        free[i] -= 1
+    rings = [draw(st.sampled_from(("",) + PENDANT_RINGS)) if n else "" for n in free]
+
+    def write(i: int) -> str:
+        branches = [rings[i]] if rings[i] else []
+        branches += [write(c) for c in children[i]]
+        return elements[i] + "".join(f"({b})" for b in branches)
+
+    return write(0)
 
 
 class TestParserTotality:
@@ -57,6 +86,14 @@ class TestParserTotality:
             again = parse(canonicalize(result))
             assert isinstance(again, Molecule)
             assert canonicalize(again) == canonicalize(result)
+
+
+class TestLongestChain:
+    @given(acyclic_skeletons())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle(self, smiles: str) -> None:
+        mol = parse_strict(smiles)
+        assert longest_carbon_chain(mol) == longest_chain_oracle(mol), smiles
 
 
 class TestCanonicalInvariance:

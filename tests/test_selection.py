@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from molstruct.errors import EmptyRationaleError, SizeLimitError
+from molstruct.errors import EmptyRationaleError
 from molstruct.profile import Configuration, StructuralProfile, extract_profile
 from molstruct.rationale import ComponentKind, Rationale, from_profile
 from molstruct.selection import matching_ratio, select
@@ -221,5 +221,6 @@ class TestSelect:
             {K.FORMULA: "C65H132", K.LONGEST_CHAIN: 65},
             frozenset({K.FORMULA, K.LONGEST_CHAIN}),
         )
-        with pytest.raises(SizeLimitError):
-            select(with_chain, ["CCO", long_chain])
+        report = select(with_chain, ["CCO", long_chain])
+        assert report.selected_index == 1
+        assert report.per_candidate[1].matching_ratio == 1.0
