@@ -152,10 +152,7 @@ def longest_carbon_chain(mol: Molecule) -> int:
     does not matter, only carbon-carbon connectivity outside rings.
     """
     in_ring = _ring_atom_set(mol)
-    carbons = [
-        a.index for a in mol.atoms if a.element == "C" and a.index not in in_ring
-    ]
-    carbon_set = set(carbons)
+    carbons = {a.index for a in mol.atoms if a.element == "C" and a.index not in in_ring}
 
     def farthest(start: int) -> tuple[int, dict[int, int]]:
         """Last carbon reached breadth-first, and the depth of each carbon in its tree."""
@@ -163,7 +160,7 @@ def longest_carbon_chain(mol: Molecule) -> int:
         queue = [start]
         for current in queue:
             for nxt in mol.neighbors(current):
-                if nxt in carbon_set and nxt not in depth:
+                if nxt in carbons and nxt not in depth:
                     depth[nxt] = depth[current] + 1
                     queue.append(nxt)
         return queue[-1], depth
