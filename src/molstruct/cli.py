@@ -50,8 +50,6 @@ from .rationale import (
 from .selection import select
 from .smiles import ParseDiagnostic, canonicalize, parse
 
-_KEY_TO_KIND = {kind.value: kind for kind in ComponentKind}
-
 
 def _error_code(exc: MolstructError) -> str:
     name = type(exc).__name__
@@ -63,10 +61,10 @@ class _JobConfig:
     """Per-record options; picklable so workers can share it."""
 
     catalog_path: str | None
-    components: tuple[str, ...] | None
+    components: tuple[ComponentKind, ...] | None
     format: str
     recall: bool
-    reliable: tuple[str, ...] | None
+    reliable: tuple[ComponentKind, ...] | None
 
 
 @lru_cache(maxsize=8)
@@ -78,7 +76,7 @@ def _parse_record(line: str, required: tuple[str, ...]) -> dict | str:
     """Decode one input line; an error message string on failure."""
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
         return f"malformed JSON record: {exc}"
     if not isinstance(record, dict):
         return "record must be a JSON object"
@@ -107,12 +105,7 @@ def _analyze_record(config: _JobConfig, line: str) -> dict:
     molecule = parse(smiles)
     if isinstance(molecule, ParseDiagnostic):
         return _diagnostic_record(smiles, molecule)
-    mask = (
-        frozenset(_KEY_TO_KIND[key] for key in config.components)
-        if config.components is not None
-        else None
-    )
-    rationale = from_profile(molecule, mask, _load_catalog(config.catalog_path))
+    rationale = from_profile(molecule, config.components, _load_catalog(config.catalog_path))
     return {"smiles": smiles, "rationale": render(rationale, RationaleFormat(config.format))}
 
 
@@ -145,9 +138,7 @@ def _select_record(config: _JobConfig, line: str) -> dict:
     try:
         rationale = parse_rationale(record["rationale"])
         if config.reliable is not None:
-            rationale = apply_reliability_mask(
-                rationale, (_KEY_TO_KIND[key] for key in config.reliable)
-            )
+            rationale = apply_reliability_mask(rationale, config.reliable)
         report = select(rationale, candidates, _load_catalog(config.catalog_path))
     except MolstructError as exc:
         return {"error": _error_code(exc), "message": str(exc)}
@@ -189,9 +180,7 @@ def _score_record(
     try:
         rationale = parse_rationale(record["rationale"])
         if config.components is not None:
-            rationale = apply_reliability_mask(
-                rationale, (_KEY_TO_KIND[key] for key in config.components)
-            )
+            rationale = apply_reliability_mask(rationale, config.components)
             if not rationale.mask:
                 return None, "no requested components present in the rationale"
         scores = score_reasoning(
@@ -226,19 +215,20 @@ def _map_records(
         return list(pool.map(bound, lines, chunksize=chunk))
 
 
-def _component_list(allowed: frozenset[ComponentKind]) -> Callable[[str], tuple[str, ...]]:
-    def convert(text: str) -> tuple[str, ...]:
+def _component_list(
+    allowed: frozenset[ComponentKind],
+) -> Callable[[str], tuple[ComponentKind, ...]]:
+    def convert(text: str) -> tuple[ComponentKind, ...]:
         keys = tuple(key.strip() for key in text.split(",") if key.strip())
         if not keys:
             raise argparse.ArgumentTypeError("component list is empty")
+        names = sorted(kind.value for kind in allowed)
         for key in keys:
-            kind = _KEY_TO_KIND.get(key)
-            if kind is None or kind not in allowed:
-                names = ", ".join(sorted(k.value for k in allowed))
+            if key not in names:
                 raise argparse.ArgumentTypeError(
-                    f"unknown component {key!r} (choose from: {names})"
+                    f"unknown component {key!r} (choose from: {', '.join(names)})"
                 )
-        return keys
+        return tuple(ComponentKind(key) for key in keys)
 
     return convert
 

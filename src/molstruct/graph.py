@@ -10,11 +10,10 @@ the molecule it received so pipelines can chain calls.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 
 from .elements import (
-    AROMATIC_ORGANIC,
     CATION_VALENCE_SHIFT,
     DEFAULT_VALENCES,
     OUTER_ELECTRONS,

@@ -24,7 +24,14 @@ Multisets render sorted alphabetically, comma-separated, with counts as
 "2 x hydroxyl" above multiplicity one.  Since ", " is the item delimiter,
 catalog names must not contain it (the built-in catalog never does).
 Chiral centers are written "R at atom 2" with canonical-SMILES atom
-numbering.  parse_rationale(render(r, f)) == r holds for both formats.
+numbering.
+
+Both readers accept, per component, only values whose sentence reads
+back as the same value: counts and atom indices are integers >= 0, the
+weight is finite and >= 0, the formula holds no whitespace, and no
+string holds a period followed by whitespace.  For a rationale with
+such values, parse_rationale(render(r, f)) == r in both formats; so a
+rationale parsed from JSON reads back the same from its prose.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .catalog import Catalog
 from .errors import EmptyRationaleError, RationaleParseError
@@ -124,106 +131,75 @@ def from_profile(
 
 
 # ---------------------------------------------------------------------------
-# Rendering
+# One codec per component: its sentence and JSON value, written and read
 
 
-def _plural(n: int, word: str) -> str:
-    return word if n == 1 else word + "s"
+class _Codec(NamedTuple):
+    """How one component's value is written and read, in prose and in JSON."""
+
+    sentence: re.Pattern[str]  # group 1 is the value text, None for an empty list
+    write_prose: Callable[[Any], str]
+    read_text: Callable[[str | None], Any]
+    write_json: Callable[[Any], object]
+    read_json: Callable[[object], Any]  # None for a value of the wrong type
+
+
+def _plural(n: object) -> str:
+    return "" if n == 1 else "s"
+
+
+def _template_re(template: str, value_re: str = "") -> str:
+    """Regex of a sentence template: "{}" captures the value, "{n}" is a
+    count and "{s}" an optional plural ending.  Templates hold no regex
+    metacharacter but ".", so that is all this escapes."""
+    escaped = template.replace(".", r"\.").replace("{n}", r"\d+").replace("{s}", "s?")
+    return escaped.replace("{}", f"({value_re})")
+
+
+def _scalar(
+    template: str, value_re: str, read: Callable[[Any], Any], json_types: tuple[type, ...]
+) -> _Codec:
+    """One value: in the sentence at "{}", converted by ``read`` (so a
+    weight always shows as a float), and in JSON as itself."""
+    return _Codec(
+        re.compile(_template_re(template, value_re)),
+        lambda value: template.format(read(value), s=_plural(value)),
+        read,
+        lambda value: value,
+        lambda value: read(value) if type(value) in json_types else None,
+    )
+
+
+def _listed(
+    none: str,
+    some: str,
+    write_items: Callable,
+    read_items: Callable,
+    write_json: Callable,
+    read_json: Callable,
+) -> _Codec:
+    """A list, written as the sentence ``none`` when empty, else as ``some``
+    with its items at "{}"."""
+    return _Codec(
+        re.compile(f"{_template_re(none)}|{_template_re(some, '.+')}"),
+        lambda value: (
+            some.format(write_items(value), n=len(value), s=_plural(len(value))) if value else none
+        ),
+        lambda text: () if text is None else read_items(text),
+        write_json,
+        read_json,
+    )
+
+
+_RE_COUNTED_ITEM = re.compile(r"(\d+) x (.+)")
+_RE_CHIRAL_ITEM = re.compile(r"(R|S|Unresolved) at atom (\d+)")
 
 
 def _multiset_text(items: tuple[str, ...]) -> str:
     counts = Counter(items)
-    parts = []
-    for name in sorted(counts):
-        n = counts[name]
-        parts.append(name if n == 1 else f"{n} x {name}")
-    return ", ".join(parts)
-
-
-def _chirality_text(centers: ChiralityValue) -> str:
-    return ", ".join(f"{config.value} at atom {pos}" for pos, config in centers)
-
-
-def _sentence(kind: ComponentKind, value: object) -> str:
-    if kind is ComponentKind.FORMULA:
-        return f"The molecular formula is {value}."
-    if kind is ComponentKind.LONGEST_CHAIN:
-        return f"The longest carbon chain has {value} {_plural(int(value), 'carbon')}."
-    if kind is ComponentKind.AROMATIC_RINGS:
-        return f"The molecule has {value} aromatic {_plural(int(value), 'ring')}."
-    if kind is ComponentKind.RING_COMPOUNDS:
-        items = tuple(value)
-        if not items:
-            return "The molecule contains no rings."
-        return (
-            f"The molecule contains {len(items)} {_plural(len(items), 'ring')}: "
-            f"{_multiset_text(items)}."
-        )
-    if kind is ComponentKind.FUNCTIONAL_GROUPS:
-        items = tuple(value)
-        if not items:
-            return "The molecule contains no functional groups."
-        return (
-            f"The molecule contains {len(items)} functional "
-            f"{_plural(len(items), 'group')}: {_multiset_text(items)}."
-        )
-    if kind is ComponentKind.CHIRALITY:
-        centers = tuple(value)
-        if not centers:
-            return "The molecule has no specified chiral centers."
-        return (
-            f"The molecule has {len(centers)} chiral {_plural(len(centers), 'center')}: "
-            f"{_chirality_text(centers)}."
-        )
-    if kind is ComponentKind.MOLECULAR_WEIGHT:
-        return f"The molecular weight is {float(value)} g/mol."
-    return f"The IUPAC name is {value}."
-
-
-def render(rationale: Rationale, format: RationaleFormat = RationaleFormat.PROSE) -> str:
-    """Render a rationale in the requested format.
-
-    Raises:
-        EmptyRationaleError: The mask is empty.
-    """
-    if not rationale.mask:
-        raise EmptyRationaleError("cannot render a rationale with an empty mask")
-    kinds = [kind for kind in CANONICAL_ORDER if kind in rationale.mask]
-    if format is RationaleFormat.PROSE:
-        return " ".join(_sentence(kind, rationale.components[kind]) for kind in kinds)
-
-    payload: dict[str, object] = {}
-    for kind in kinds:
-        value = rationale.components[kind]
-        if kind in (ComponentKind.RING_COMPOUNDS, ComponentKind.FUNCTIONAL_GROUPS):
-            payload[kind.value] = list(value)
-        elif kind is ComponentKind.CHIRALITY:
-            payload[kind.value] = [
-                {"configuration": config.value, "atom_index": pos} for pos, config in value
-            ]
-        else:
-            payload[kind.value] = value
-    return json.dumps(payload)
-
-
-# ---------------------------------------------------------------------------
-# Parsing
-
-_SENTENCE_SPLIT = re.compile(r"(?<=\.)\s+")
-
-_RE_FORMULA = re.compile(r"The molecular formula is (\S+)\.")
-_RE_CHAIN = re.compile(r"The longest carbon chain has (\d+) carbons?\.")
-_RE_AROMATIC = re.compile(r"The molecule has (\d+) aromatic rings?\.")
-_RE_NO_RINGS = re.compile(r"The molecule contains no rings\.")
-_RE_RINGS = re.compile(r"The molecule contains \d+ rings?: (.+)\.")
-_RE_NO_GROUPS = re.compile(r"The molecule contains no functional groups\.")
-_RE_GROUPS = re.compile(r"The molecule contains \d+ functional groups?: (.+)\.")
-_RE_NO_CHIRAL = re.compile(r"The molecule has no specified chiral centers\.")
-_RE_CHIRAL = re.compile(r"The molecule has \d+ chiral centers?: (.+)\.")
-_RE_WEIGHT = re.compile(r"The molecular weight is ([0-9][0-9.eE+-]*) g/mol\.")
-_RE_NAME = re.compile(r"The IUPAC name is (.+)\.")
-_RE_CHIRAL_ITEM = re.compile(r"(R|S|Unresolved) at atom (\d+)")
-_RE_COUNTED_ITEM = re.compile(r"(\d+) x (.+)")
+    return ", ".join(
+        name if counts[name] == 1 else f"{counts[name]} x {name}" for name in sorted(counts)
+    )
 
 
 def _parse_multiset(text: str) -> tuple[str, ...]:
@@ -237,6 +213,21 @@ def _parse_multiset(text: str) -> tuple[str, ...]:
     return tuple(sorted(items))
 
 
+def _multiset(noun: str) -> _Codec:
+    return _listed(
+        f"The molecule contains no {noun}s.",
+        f"The molecule contains {{n}} {noun}{{s}}: {{}}.",
+        _multiset_text,
+        _parse_multiset,
+        list,
+        lambda value: (
+            tuple(sorted(value))
+            if isinstance(value, list) and all(isinstance(item, str) for item in value)
+            else None
+        ),
+    )
+
+
 def _parse_chirality(text: str) -> ChiralityValue | None:
     centers: list[tuple[int, Configuration]] = []
     for chunk in text.split(", "):
@@ -244,86 +235,96 @@ def _parse_chirality(text: str) -> ChiralityValue | None:
         if match is None:
             return None
         centers.append((int(match.group(2)), Configuration(match.group(1))))
-    centers.sort(key=lambda item: item[0])
-    return tuple(centers)
+    return tuple(sorted(centers, key=lambda center: center[0]))
 
 
-def _parse_prose_sentence(sentence: str) -> tuple[ComponentKind, object] | None:
-    match = _RE_FORMULA.fullmatch(sentence)
-    if match:
-        return ComponentKind.FORMULA, match.group(1)
-    match = _RE_CHAIN.fullmatch(sentence)
-    if match:
-        return ComponentKind.LONGEST_CHAIN, int(match.group(1))
-    match = _RE_AROMATIC.fullmatch(sentence)
-    if match:
-        return ComponentKind.AROMATIC_RINGS, int(match.group(1))
-    if _RE_NO_RINGS.fullmatch(sentence):
-        return ComponentKind.RING_COMPOUNDS, ()
-    match = _RE_RINGS.fullmatch(sentence)
-    if match:
-        return ComponentKind.RING_COMPOUNDS, _parse_multiset(match.group(1))
-    if _RE_NO_GROUPS.fullmatch(sentence):
-        return ComponentKind.FUNCTIONAL_GROUPS, ()
-    match = _RE_GROUPS.fullmatch(sentence)
-    if match:
-        return ComponentKind.FUNCTIONAL_GROUPS, _parse_multiset(match.group(1))
-    if _RE_NO_CHIRAL.fullmatch(sentence):
-        return ComponentKind.CHIRALITY, ()
-    match = _RE_CHIRAL.fullmatch(sentence)
-    if match:
-        centers = _parse_chirality(match.group(1))
-        if centers is None:
-            return None
-        return ComponentKind.CHIRALITY, centers
-    match = _RE_WEIGHT.fullmatch(sentence)
-    if match:
-        try:
-            return ComponentKind.MOLECULAR_WEIGHT, float(match.group(1))
-        except ValueError:
-            return None
-    match = _RE_NAME.fullmatch(sentence)
-    if match:
-        return ComponentKind.IUPAC_NAME, match.group(1)
-    return None
-
-
-def _coerce_json_value(kind: ComponentKind, value: object) -> object | None:
-    """Validate and normalize one JSON component value; None on mismatch."""
-    if kind is ComponentKind.FORMULA or kind is ComponentKind.IUPAC_NAME:
-        return value if isinstance(value, str) else None
-    if kind in (ComponentKind.LONGEST_CHAIN, ComponentKind.AROMATIC_RINGS):
-        return value if isinstance(value, int) and not isinstance(value, bool) else None
-    if kind in (ComponentKind.RING_COMPOUNDS, ComponentKind.FUNCTIONAL_GROUPS):
-        if isinstance(value, list) and all(isinstance(item, str) for item in value):
-            return tuple(sorted(value))
+def _json_chirality(value: object) -> ChiralityValue | None:
+    if not isinstance(value, list):
         return None
-    if kind is ComponentKind.CHIRALITY:
-        if not isinstance(value, list):
+    centers: list[tuple[int, Configuration]] = []
+    for item in value:
+        if (
+            not isinstance(item, dict)
+            or type(item.get("atom_index")) is not int
+            or item.get("configuration") not in ("R", "S", "Unresolved")
+        ):
             return None
-        centers: list[tuple[int, Configuration]] = []
-        for item in value:
-            if (
-                not isinstance(item, dict)
-                or not isinstance(item.get("atom_index"), int)
-                or isinstance(item.get("atom_index"), bool)
-                or item.get("configuration") not in ("R", "S", "Unresolved")
-            ):
-                return None
-            centers.append((item["atom_index"], Configuration(item["configuration"])))
-        centers.sort(key=lambda c: c[0])
-        return tuple(centers)
-    # molecular weight
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    return None
+        centers.append((item["atom_index"], Configuration(item["configuration"])))
+    return tuple(sorted(centers, key=lambda center: center[0]))
+
+
+_CODECS: dict[ComponentKind, _Codec] = {
+    ComponentKind.FORMULA: _scalar("The molecular formula is {}.", r"\S+", str, (str,)),
+    ComponentKind.LONGEST_CHAIN: _scalar(
+        "The longest carbon chain has {} carbon{s}.", r"\d+", int, (int,)
+    ),
+    ComponentKind.AROMATIC_RINGS: _scalar(
+        "The molecule has {} aromatic ring{s}.", r"\d+", int, (int,)
+    ),
+    ComponentKind.RING_COMPOUNDS: _multiset("ring"),
+    ComponentKind.FUNCTIONAL_GROUPS: _multiset("functional group"),
+    ComponentKind.CHIRALITY: _listed(
+        "The molecule has no specified chiral centers.",
+        "The molecule has {n} chiral center{s}: {}.",
+        lambda centers: ", ".join(f"{config.value} at atom {pos}" for pos, config in centers),
+        _parse_chirality,
+        lambda centers: [
+            {"configuration": config.value, "atom_index": pos} for pos, config in centers
+        ],
+        _json_chirality,
+    ),
+    ComponentKind.MOLECULAR_WEIGHT: _scalar(
+        "The molecular weight is {} g/mol.", r"[0-9][0-9.eE+-]*", float, (int, float)
+    ),
+    ComponentKind.IUPAC_NAME: _scalar("The IUPAC name is {}.", ".+", str, (str,)),
+}
+
+
+def render(rationale: Rationale, format: RationaleFormat = RationaleFormat.PROSE) -> str:
+    """Render a rationale in the requested format.
+
+    Raises:
+        EmptyRationaleError: The mask is empty.
+    """
+    if not rationale.mask:
+        raise EmptyRationaleError("cannot render a rationale with an empty mask")
+    kinds = [kind for kind in CANONICAL_ORDER if kind in rationale.mask]
+    values = rationale.components
+    if format is RationaleFormat.PROSE:
+        return " ".join(_CODECS[kind].write_prose(values[kind]) for kind in kinds)
+    return json.dumps({kind.value: _CODECS[kind].write_json(values[kind]) for kind in kinds})
+
+
+# ---------------------------------------------------------------------------
+# Parsing
+
+_SENTENCE_SPLIT = re.compile(r"(?<=\.)\s+")
+
+
+def _read(codec: _Codec, read: Callable[[Any], Any], raw: object) -> Any:
+    """``read(raw)`` when it succeeds with a value in the codec's domain, else None.
+
+    The domain, one for both formats, holds the values whose sentence
+    reads back as the same value.
+    """
+    try:
+        value = read(raw)
+    except (ValueError, OverflowError):  # a number too long or too large to convert
+        return None
+    if value is None:
+        return None
+    sentence = codec.write_prose(value)
+    match = codec.sentence.fullmatch(sentence)
+    if match is None or _SENTENCE_SPLIT.search(sentence):
+        return None
+    return value if codec.read_text(match.group(1)) == value else None
 
 
 def parse_rationale(text: str) -> Rationale:
     """Parse prose or JSON rationale text.
 
-    Unrecognized sentences or JSON keys are skipped and reported in the
-    result's warnings.
+    Unrecognized sentences or JSON keys, and values outside their
+    component's domain, are skipped and reported in the result's warnings.
 
     Raises:
         RationaleParseError: Zero components recognized.
@@ -334,18 +335,16 @@ def parse_rationale(text: str) -> Rationale:
 
     if stripped.startswith("{"):
         try:
-            payload = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+            payload = json.loads(stripped)  # a leading "{" makes it an object
+        except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
             raise RationaleParseError(f"malformed JSON rationale: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise RationaleParseError("JSON rationale must be an object")
-        key_to_kind = {kind.value: kind for kind in ComponentKind}
         for key, raw in payload.items():
-            kind = key_to_kind.get(key)
-            if kind is None:
+            try:
+                kind = ComponentKind(key)
+            except ValueError:
                 warnings.append(f"unknown component key {key!r}")
                 continue
-            value = _coerce_json_value(kind, raw)
+            value = _read(_CODECS[kind], _CODECS[kind].read_json, raw)
             if value is None:
                 warnings.append(f"component {key!r} has a malformed value")
                 continue
@@ -354,12 +353,14 @@ def parse_rationale(text: str) -> Rationale:
         for sentence in _SENTENCE_SPLIT.split(stripped):
             if not sentence:
                 continue
-            parsed = _parse_prose_sentence(sentence)
-            if parsed is None:
+            for kind, codec in _CODECS.items():
+                match = codec.sentence.fullmatch(sentence)
+                value = match and _read(codec, codec.read_text, match.group(1))
+                if value is not None:
+                    components[kind] = value
+                    break
+            else:
                 warnings.append(f"unrecognized sentence: {sentence!r}")
-                continue
-            kind, value = parsed
-            components[kind] = value
 
     if not components:
         raise RationaleParseError(

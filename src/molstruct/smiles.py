@@ -609,7 +609,6 @@ def _permutation_parity(source: list[int], target: list[int]) -> int:
         remaining[slot] = object()  # consume duplicates left to right
         perm.append(slot)
     swaps = 0
-    perm = list(perm)
     for i in range(len(perm)):
         while perm[i] != i:
             j = perm[i]
@@ -665,7 +664,6 @@ def _write_component(mol: Molecule, start: int, key) -> tuple[str, list[int]]:
     stack: list[tuple[int, list[int], int]] = [(start, sorted(mol.neighbors(start), key=key), 0)]
     while stack:
         cur, nbrs, pos = stack.pop()
-        advanced = False
         while pos < len(nbrs):
             nxt = nbrs[pos]
             pos += 1
@@ -685,10 +683,7 @@ def _write_component(mol: Molecule, start: int, key) -> tuple[str, list[int]]:
             order.append(nxt)
             stack.append((cur, nbrs, pos))
             stack.append((nxt, sorted(mol.neighbors(nxt), key=key), 0))
-            advanced = True
             break
-        if advanced:
-            continue
 
     emit_rank = {atom: i for i, atom in enumerate(order)}
     # Assign ring-closure digit numbers in emission order, reusing freed ones.

@@ -225,6 +225,26 @@ class TestSelect:
         assert code == 1
         assert records[0]["error"] == "BadRecord"
 
+    def test_undecodable_json_fails_only_its_record(self, tmp_path, capsys) -> None:
+        good = {"rationale": "The molecular formula is CH4.", "candidates": ["C"]}
+        deep = '{"x": ' + "[" * 100_000 + "]}"
+        code, records, _ = run_cli(
+            tmp_path,
+            ["select"],
+            [
+                {"rationale": deep, "candidates": ["C"]},
+                deep,
+                '{"rationale": ' + "1" * 5000 + "}",
+                good,
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert [record.get("error") for record in records] == [
+            "RationaleParse", "BadRecord", "BadRecord", None
+        ]
+        assert records[3]["selected_smiles"] == "C"
+
 
 class TestScore:
     def _analyze(self, tmp_path, capsys, smiles: str) -> str:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from molstruct.errors import RationaleParseError
 from molstruct.graph import Molecule
 from molstruct.metrics import (
     corpus_bleu,
@@ -148,7 +151,39 @@ def rationales(draw) -> Rationale:
     return Rationale(components=components, mask=mask)
 
 
+# Arbitrary JSON component values: wrong types, negative numbers, NaN and
+# infinities, and strings with the item and sentence delimiters in them.
+json_text = st.one_of(st.text(max_size=12), st.text(st.sampled_from("ab2 x.,-\n"), max_size=12))
+json_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10**20), st.floats(), json_text
+)
+json_center = st.fixed_dictionaries(
+    {
+        "configuration": st.sampled_from(["R", "S", "Unresolved", "Q"]),
+        "atom_index": st.one_of(st.integers(-5, 60), json_scalar),
+    }
+)
+json_rationale = st.dictionaries(
+    st.sampled_from([kind.value for kind in ComponentKind]),
+    st.one_of(
+        json_scalar,
+        st.lists(json_text, max_size=4),
+        st.lists(json_center, max_size=3),
+    ),
+    min_size=1,
+).map(json.dumps)
+
+
 class TestRationaleRoundTrip:
+    @given(json_rationale)
+    @settings(max_examples=400, deadline=None)
+    def test_json_rationale_reads_back_from_its_prose(self, text: str) -> None:
+        try:
+            rationale = parse_rationale(text)
+        except RationaleParseError:
+            return
+        assert parse_rationale(render(rationale, RationaleFormat.PROSE)) == rationale
+
     @given(rationales(), st.sampled_from(list(RationaleFormat)))
     @settings(max_examples=300, deadline=None)
     def test_render_parse_identity(

@@ -159,6 +159,55 @@ class TestParse:
         with pytest.raises(RationaleParseError):
             parse_rationale('{"longest_chain": true}')
 
+    @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("longest_chain", "-3"),
+            ("aromatic_rings", "-1"),
+            ("chirality", '[{"configuration": "R", "atom_index": -2}]'),
+            ("molecular_weight", "-1.5"),
+            ("molecular_weight", "-0.0"),
+            ("molecular_weight", "NaN"),
+            ("molecular_weight", "Infinity"),
+            ("molecular_weight", "-Infinity"),
+            ("molecular_weight", "1e400"),
+            ("molecular_weight", "1{big}"),
+            ("formula", '""'),
+            ("formula", '"C H4"'),
+            ("iupac_name", '"ethanol. Or not"'),
+            ("functional_groups", '["ester, hydroxyl"]'),
+            ("functional_groups", '["2 x ester"]'),
+        ],
+    )
+    def test_json_value_prose_cannot_carry_is_malformed(self, key: str, raw: str) -> None:
+        raw = raw.replace("{big}", "0" * 400)
+        r = parse_rationale(f'{{"ring_compounds": [], "{key}": {raw}}}')
+        assert r.mask == frozenset({K.RING_COMPOUNDS})
+        assert r.warnings == (f"component {key!r} has a malformed value",)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "The longest carbon chain has 1{big} carbons.",
+            "The molecule has 1 chiral center: R at atom 1{big}.",
+            "The molecular weight is 1e400 g/mol.",
+            "The molecule contains 1 ring: 1 x 2 x benzene.",
+        ],
+    )
+    def test_prose_value_outside_the_domain_is_unrecognized(self, text: str) -> None:
+        text = text.replace("{big}", "0" * 5000)
+        r = parse_rationale("The molecular formula is CH4. " + text)
+        assert r.mask == frozenset({K.FORMULA})
+        assert r.warnings == (f"unrecognized sentence: {text!r}",)
+
+    @pytest.mark.parametrize(
+        "text", ['{"longest_chain": 1{big}}', '{"x": {deep}]}']
+    )
+    def test_json_too_large_to_decode_is_a_parse_error(self, text: str) -> None:
+        text = text.replace("{big}", "0" * 5000).replace("{deep}", "[" * 100_000)
+        with pytest.raises(RationaleParseError, match="malformed JSON rationale"):
+            parse_rationale(text)
+
     def test_chirality_items_parse(self) -> None:
         r = parse_rationale(
             "The molecule has 2 chiral centers: R at atom 2, S at atom 5."
