@@ -28,15 +28,16 @@ numbering.
 
 Both readers accept, per component, only values whose sentence reads
 back as the same value: counts and atom indices are integers >= 0, the
-weight is finite and >= 0, the formula holds no whitespace, and no
-string holds a period followed by whitespace.  For a rationale with
-such values, parse_rationale(render(r, f)) == r in both formats; so a
-rationale parsed from JSON reads back the same from its prose.
+weight is finite and >= 0, the formula holds no whitespace, no string
+holds a period followed by whitespace, and a ring or group list holds at
+most 1,000,000 items.  So parse_rationale(render(r, f)) == r for them in
+both formats, and a rationale parsed from JSON reads back from its prose.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -157,13 +158,13 @@ def _template_re(template: str, value_re: str = "") -> str:
 
 
 def _scalar(
-    template: str, value_re: str, read: Callable[[Any], Any], json_types: tuple[type, ...]
+    template: str, value_re: str, read: Callable, json_types: tuple, show: Callable = str
 ) -> _Codec:
-    """One value: in the sentence at "{}", converted by ``read`` (so a
-    weight always shows as a float), and in JSON as itself."""
+    """One value: in the sentence at "{}" as ``show`` gives it (so a weight
+    always shows as a float), and in JSON as itself; read with ``read``."""
     return _Codec(
         re.compile(_template_re(template, value_re)),
-        lambda value: template.format(read(value), s=_plural(value)),
+        lambda value: template.format(show(value), s=_plural(value)),
         read,
         lambda value: value,
         lambda value: read(value) if type(value) in json_types else None,
@@ -193,6 +194,7 @@ def _listed(
 
 _RE_COUNTED_ITEM = re.compile(r"(\d+) x (.+)")
 _RE_CHIRAL_ITEM = re.compile(r"(R|S|Unresolved) at atom (\d+)")
+_MAX_ITEMS = 1_000_000  # per ring or group list, so "1000000000 x a" is refused unexpanded
 
 
 def _multiset_text(items: tuple[str, ...]) -> str:
@@ -202,15 +204,19 @@ def _multiset_text(items: tuple[str, ...]) -> str:
     )
 
 
-def _parse_multiset(text: str) -> tuple[str, ...]:
-    items: list[str] = []
+def _parse_multiset(text: str) -> tuple[str, ...] | None:
+    """The items, or None where _multiset_text would not write them back:
+    more than _MAX_ITEMS items, a name that reads as counted ("2 x a") but
+    occurs once, or an empty name occurring more than once or alone."""
+    counts: Counter[str] = Counter()
     for chunk in text.split(", "):
         match = _RE_COUNTED_ITEM.fullmatch(chunk)
-        if match:
-            items.extend([match.group(2)] * int(match.group(1)))
-        else:
-            items.append(chunk)
-    return tuple(sorted(items))
+        counts[match.group(2) if match else chunk] += int(match.group(1)) if match else 1
+    if counts.total() > _MAX_ITEMS or counts == Counter({"": 1}) or any(
+        _RE_COUNTED_ITEM.fullmatch(name) if n == 1 else not name for name, n in counts.items()
+    ):
+        return None
+    return tuple(sorted(counts.elements()))
 
 
 def _multiset(noun: str) -> _Codec:
@@ -274,7 +280,11 @@ _CODECS: dict[ComponentKind, _Codec] = {
         _json_chirality,
     ),
     ComponentKind.MOLECULAR_WEIGHT: _scalar(
-        "The molecular weight is {} g/mol.", r"[0-9][0-9.eE+-]*", float, (int, float)
+        "The molecular weight is {} g/mol.",
+        r"[0-9][0-9.eE+-]*",
+        lambda value: float(value) if math.isfinite(float(value)) else None,
+        (int, float),
+        float,
     ),
     ComponentKind.IUPAC_NAME: _scalar("The IUPAC name is {}.", ".+", str, (str,)),
 }
@@ -301,23 +311,25 @@ def render(rationale: Rationale, format: RationaleFormat = RationaleFormat.PROSE
 _SENTENCE_SPLIT = re.compile(r"(?<=\.)\s+")
 
 
-def _read(codec: _Codec, read: Callable[[Any], Any], raw: object) -> Any:
-    """``read(raw)`` when it succeeds with a value in the codec's domain, else None.
-
-    The domain, one for both formats, holds the values whose sentence
-    reads back as the same value.
-    """
+def _attempt(read: Callable[[Any], Any], raw: object) -> Any:
+    """``read(raw)``, or None if it fails on a number too long or too large."""
     try:
-        value = read(raw)
-    except (ValueError, OverflowError):  # a number too long or too large to convert
+        return read(raw)
+    except (ValueError, OverflowError):
         return None
+
+
+def _read_json(codec: _Codec, raw: object) -> Any:
+    """The JSON value read, if its sentence reads back as the same value (as
+    a value read from prose does by construction), else None."""
+    value = _attempt(codec.read_json, raw)
     if value is None:
         return None
     sentence = codec.write_prose(value)
     match = codec.sentence.fullmatch(sentence)
     if match is None or _SENTENCE_SPLIT.search(sentence):
         return None
-    return value if codec.read_text(match.group(1)) == value else None
+    return value if _attempt(codec.read_text, match.group(1)) == value else None
 
 
 def parse_rationale(text: str) -> Rationale:
@@ -344,7 +356,7 @@ def parse_rationale(text: str) -> Rationale:
             except ValueError:
                 warnings.append(f"unknown component key {key!r}")
                 continue
-            value = _read(_CODECS[kind], _CODECS[kind].read_json, raw)
+            value = _read_json(_CODECS[kind], raw)
             if value is None:
                 warnings.append(f"component {key!r} has a malformed value")
                 continue
@@ -355,7 +367,7 @@ def parse_rationale(text: str) -> Rationale:
                 continue
             for kind, codec in _CODECS.items():
                 match = codec.sentence.fullmatch(sentence)
-                value = match and _read(codec, codec.read_text, match.group(1))
+                value = match and _attempt(codec.read_text, match.group(1))
                 if value is not None:
                     components[kind] = value
                     break

@@ -228,6 +228,7 @@ class TestSelect:
     def test_undecodable_json_fails_only_its_record(self, tmp_path, capsys) -> None:
         good = {"rationale": "The molecular formula is CH4.", "candidates": ["C"]}
         deep = '{"x": ' + "[" * 100_000 + "]}"
+        huge_count = json.dumps({"functional_groups": ["1" + "0" * 5000 + " x ester"]})
         code, records, _ = run_cli(
             tmp_path,
             ["select"],
@@ -235,15 +236,16 @@ class TestSelect:
                 {"rationale": deep, "candidates": ["C"]},
                 deep,
                 '{"rationale": ' + "1" * 5000 + "}",
+                {"rationale": huge_count, "candidates": ["C"]},
                 good,
             ],
             capsys,
         )
         assert code == 1
         assert [record.get("error") for record in records] == [
-            "RationaleParse", "BadRecord", "BadRecord", None
+            "RationaleParse", "BadRecord", "BadRecord", "RationaleParse", None
         ]
-        assert records[3]["selected_smiles"] == "C"
+        assert records[4]["selected_smiles"] == "C"
 
 
 class TestScore:

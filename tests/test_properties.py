@@ -173,6 +173,37 @@ json_rationale = st.dictionaries(
     min_size=1,
 ).map(json.dumps)
 
+# Prose sentences of every kind around arbitrary value texts: counted and
+# twice-counted items, chiral items, overflowing numbers and stray delimiters.
+prose_value = st.one_of(
+    st.text(st.sampled_from("ab01 x.,-e+\n"), min_size=1, max_size=12),
+    st.lists(
+        st.sampled_from(
+            ["a", "b", "", "2 x a", "0 x b", "1 x 2 x a", "R at atom 1", "S at atom 02",
+             "Q at atom 3", "7", "1e400", "1.5"]
+        ),
+        min_size=1,
+        max_size=4,
+    ).map(", ".join),
+)
+prose_sentence = st.builds(
+    str.format,
+    st.sampled_from(
+        [
+            "The molecular formula is {}.",
+            "The longest carbon chain has {} carbons.",
+            "The molecule has {} aromatic ring.",
+            "The molecule contains 2 rings: {}.",
+            "The molecule contains 1 functional group: {}.",
+            "The molecule has 2 chiral centers: {}.",
+            "The molecular weight is {} g/mol.",
+            "The IUPAC name is {}.",
+        ]
+    ),
+    prose_value,
+)
+prose_rationale = st.lists(prose_sentence, min_size=1, max_size=4).map(" ".join)
+
 
 class TestRationaleRoundTrip:
     @given(json_rationale)
@@ -183,6 +214,16 @@ class TestRationaleRoundTrip:
         except RationaleParseError:
             return
         assert parse_rationale(render(rationale, RationaleFormat.PROSE)) == rationale
+
+    @given(prose_rationale)
+    @settings(max_examples=400, deadline=None)
+    def test_prose_rationale_reads_back_in_both_formats(self, text: str) -> None:
+        try:
+            rationale = parse_rationale(text)
+        except RationaleParseError:
+            return
+        for fmt in RationaleFormat:
+            assert parse_rationale(render(rationale, fmt)) == rationale
 
     @given(rationales(), st.sampled_from(list(RationaleFormat)))
     @settings(max_examples=300, deadline=None)

@@ -177,10 +177,13 @@ class TestParse:
             ("iupac_name", '"ethanol. Or not"'),
             ("functional_groups", '["ester, hydroxyl"]'),
             ("functional_groups", '["2 x ester"]'),
+            ("functional_groups", '["1000000000 x ester"]'),
+            ("functional_groups", '["1{huge} x ester"]'),
+            ("functional_groups", '["1 x 1{huge} x ester"]'),
         ],
     )
     def test_json_value_prose_cannot_carry_is_malformed(self, key: str, raw: str) -> None:
-        raw = raw.replace("{big}", "0" * 400)
+        raw = raw.replace("{big}", "0" * 400).replace("{huge}", "0" * 5000)
         r = parse_rationale(f'{{"ring_compounds": [], "{key}": {raw}}}')
         assert r.mask == frozenset({K.RING_COMPOUNDS})
         assert r.warnings == (f"component {key!r} has a malformed value",)
@@ -192,6 +195,10 @@ class TestParse:
             "The molecule has 1 chiral center: R at atom 1{big}.",
             "The molecular weight is 1e400 g/mol.",
             "The molecule contains 1 ring: 1 x 2 x benzene.",
+            "The molecule contains 1 ring: 1 x 1{big} x benzene.",
+            "The molecule contains 1 ring: 1{big} x benzene.",
+            "The molecule contains 1 ring: 1000000000 x benzene.",
+            "The molecule contains 2 rings: 600000 x benzene, 600000 x pyridine.",
         ],
     )
     def test_prose_value_outside_the_domain_is_unrecognized(self, text: str) -> None:
@@ -226,6 +233,14 @@ class TestParse:
             "The molecule contains 3 functional groups: 2 x hydroxyl, ester."
         )
         assert r.components[K.FUNCTIONAL_GROUPS] == ("ester", "hydroxyl", "hydroxyl")
+
+    def test_list_of_the_most_items_reads(self) -> None:
+        text = "The molecule contains 2 rings: 999999 x benzene, pyridine."
+        rings = parse_rationale(text).components[K.RING_COMPOUNDS]
+        assert len(rings) == 1_000_000
+        assert rings[-1] == "pyridine"
+        with pytest.raises(RationaleParseError):
+            parse_rationale(text.replace("999999", "1000000"))
 
     def test_negative_sentences(self) -> None:
         r = parse_rationale(
