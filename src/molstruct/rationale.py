@@ -212,7 +212,8 @@ def _parse_multiset(text: str) -> tuple[str, ...] | None:
     for chunk in text.split(", "):
         match = _RE_COUNTED_ITEM.fullmatch(chunk)
         counts[match.group(2) if match else chunk] += int(match.group(1)) if match else 1
-    if counts.total() > _MAX_ITEMS or counts == Counter({"": 1}) or any(
+    total = counts.total()
+    if total > _MAX_ITEMS or (total == 1 and counts[""] == 1) or any(
         _RE_COUNTED_ITEM.fullmatch(name) if n == 1 else not name for name, n in counts.items()
     ):
         return None
