@@ -195,6 +195,8 @@ class TestParse:
             "The molecule has 1 chiral center: R at atom 1{big}.",
             "The molecular weight is 1e400 g/mol.",
             "The molecule contains 1 ring: 1 x 2 x benzene.",
+            "The molecule contains 2 rings: , .",
+            "The molecule contains 2 rings: 0 x benzene, .",
             "The molecule contains 1 ring: 1 x 1{big} x benzene.",
             "The molecule contains 1 ring: 1{big} x benzene.",
             "The molecule contains 1 ring: 1000000000 x benzene.",
