@@ -1,0 +1,133 @@
+"""Frozen canonical SMILES, canonical atom order and SSSR rings.
+
+tests/data/golden_canonical.jsonl holds, for each input in ``inputs()``,
+the ``canonicalize`` string, the ``canonical_order`` list and the atom
+lists of the perceived SSSR rings.  The inputs are every corpus molecule
+with two random respellings, and symmetric families whose tie-break
+search is the hard case for the canonical writer: para-polyphenyls,
+isopropyl-branched chains, cycloalkanes, prismanes, acenes and
+stereo-tagged oligovalines.  A rewrite of the canonicalizer or of ring
+perception that changes any of them shows here.
+
+    python3 tests/test_golden_canonical.py --write   # regenerate the file
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parent))
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from molstruct.smiles import (  # noqa: E402
+    canonical_order,
+    canonicalize,
+    parse_strict,
+    random_equivalent,
+)
+
+from conftest import corpus_rows  # noqa: E402
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_canonical.jsonl"
+RESPELLING_SEEDS = (1, 2)
+
+
+def _digit(k: int) -> str:
+    return str(k) if k < 10 else f"%{k:02d}"
+
+
+def polyphenyl(n: int) -> str:
+    """n benzene rings joined para to para."""
+    return "c1ccc(cc1)" * (n - 1) + "c1ccccc1"
+
+
+def isopropyl_chain(n: int) -> str:
+    """A carbon chain carrying n isopropyl branches, 4n + 2 carbons."""
+    return "C" + "C(C(C)C)" * n + "C"
+
+
+def cycloalkane(n: int) -> str:
+    return "C1" + "C" * (n - 2) + "C1"
+
+
+def prismane(n: int) -> str:
+    """Two n-rings joined rung by rung; [4]prismane is cubane."""
+    closures = [(0, n - 1), (n, 2 * n - 1)] + [(i, 2 * n - 1 - i) for i in range(n - 1)]
+    marks = [""] * (2 * n)
+    for label, (i, j) in enumerate(closures, start=1):
+        marks[i] += _digit(label)
+        marks[j] += _digit(label)
+    return "".join("C" + mark for mark in marks)
+
+
+def acene(n: int) -> str:
+    """n benzene rings fused in a line (naphthalene, anthracene, ...)."""
+    return (
+        "c1ccc2"
+        + "".join(f"cc{_digit(k)}" for k in range(3, n + 1))
+        + "ccccc" + _digit(n)
+        + "".join(f"cc{_digit(k)}" for k in range(n - 1, 1, -1))
+        + "c1"
+    )
+
+
+def oligovaline(n: int) -> str:
+    """n L-valine residues written with stereo tags, as a free acid."""
+    return "N[C@@H](C(C)C)C(=O)" * n + "O"
+
+
+FAMILIES = (
+    (polyphenyl, range(1, 10)),
+    (isopropyl_chain, range(1, 11)),
+    (cycloalkane, range(3, 51)),
+    (prismane, range(3, 21)),
+    (acene, range(2, 17)),
+    (oligovaline, range(1, 9)),
+)
+
+
+def inputs() -> list[str]:
+    """Corpus molecules, each followed by its respellings, then the families."""
+    out: list[str] = []
+    for row in corpus_rows():
+        mol = parse_strict(row[0])
+        out.append(row[0])
+        out.extend(random_equivalent(mol, seed) for seed in RESPELLING_SEEDS)
+    for family, sizes in FAMILIES:
+        out.extend(family(n) for n in sizes)
+    return out
+
+
+def golden_row(smiles: str) -> dict:
+    mol = parse_strict(smiles)
+    return {
+        "smiles": smiles,
+        "canonical": canonicalize(mol),
+        "order": canonical_order(mol),
+        "rings": [list(ring.atoms) for ring in mol.rings],
+    }
+
+
+def load_golden() -> list[dict]:
+    return [json.loads(line) for line in GOLDEN_PATH.read_text().splitlines()]
+
+
+def test_golden_file_covers_the_inputs() -> None:
+    assert [row["smiles"] for row in load_golden()] == inputs()
+
+
+def test_canonical_forms_match_the_golden_file() -> None:
+    for row in load_golden():
+        assert golden_row(row["smiles"]) == row, row["smiles"]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--write"]:
+        rows = [golden_row(smiles) for smiles in inputs()]
+        GOLDEN_PATH.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        print(f"wrote {len(rows)} rows to {GOLDEN_PATH}")
+    else:
+        sys.exit(__doc__)
