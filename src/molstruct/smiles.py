@@ -794,26 +794,34 @@ def _initial_invariants(mol: Molecule) -> list[tuple]:
     ]
 
 
+def _bond_adjacency(mol: Molecule) -> list[list[tuple[int, int]]]:
+    """``(bond order, neighbor)`` pairs of every atom."""
+    return [[(int(bond.order), j) for j, bond in mol.bonds_of(i)] for i in range(len(mol.atoms))]
+
+
 def _dense_ranks(keys: list) -> list[int]:
     ordered = sorted(set(keys))
     rank_of = {key: rank for rank, key in enumerate(ordered)}
     return [rank_of[key] for key in keys]
 
 
-def _refine(mol: Molecule, ranks: list[int]) -> list[int]:
-    """Iterate neighborhood refinement until the partition stabilizes."""
+def _refine(adjacency: list[list[tuple[int, int]]], ranks: list[int]) -> list[int]:
+    """Iterate neighborhood refinement of dense ranks until the partition stabilizes.
+
+    An atom alone in its class keeps the key ``(rank,)``: the rank leads
+    every key, so the new ranks are those its full key would give.
+    """
+    n = len(ranks)
     n_classes = len(set(ranks))
-    while True:
+    while n_classes < n:
+        sizes = [0] * n
+        for rank in ranks:
+            sizes[rank] += 1
         keys = [
-            (
-                ranks[i],
-                tuple(
-                    sorted(
-                        (int(bond.order), ranks[j]) for j, bond in mol.bonds_of(i)
-                    )
-                ),
-            )
-            for i in range(len(mol.atoms))
+            (rank,)
+            if sizes[rank] == 1
+            else (rank, tuple(sorted([(order, ranks[j]) for order, j in adjacency[i]])))
+            for i, rank in enumerate(ranks)
         ]
         new_ranks = _dense_ranks(keys)
         new_classes = len(set(new_ranks))
@@ -821,6 +829,7 @@ def _refine(mol: Molecule, ranks: list[int]) -> list[int]:
             return new_ranks
         ranks = new_ranks
         n_classes = new_classes
+    return ranks
 
 
 def canonical_ranks(mol: Molecule) -> list[int]:
@@ -828,42 +837,115 @@ def canonical_ranks(mol: Molecule) -> list[int]:
 
     Ties that survive refinement are possible for symmetric graphs; the
     canonical writer breaks them by trying each tied atom and keeping the
-    smallest output string.
+    smallest output string, skipping atoms that a symmetry found on the
+    way maps onto one already tried.
     """
-    return _refine(mol, _dense_ranks(_initial_invariants(mol)))
+    return _refine(_bond_adjacency(mol), _dense_ranks(_initial_invariants(mol)))
+
+
+def _is_automorphism(
+    moved: dict[int, int], adjacency: list[list[tuple[int, int]]], invariants: list[tuple]
+) -> bool:
+    """True when the atom map ``moved`` keeps every invariant and bond order."""
+    for i, j in moved.items():
+        if invariants[i] != invariants[j]:
+            return False
+        if {(order, moved.get(k, k)) for order, k in adjacency[i]} != set(adjacency[j]):
+            return False
+    return True
+
+
+def _orbit_root(parent: dict[int, int], atom: int) -> int:
+    while parent.get(atom, atom) != atom:
+        parent[atom] = parent.get(parent[atom], parent[atom])
+        atom = parent[atom]
+    return atom
 
 
 def _component_min_string(
-    mol: Molecule, comp: list[int], ranks: list[int]
+    mol: Molecule,
+    comp: list[int],
+    ranks: list[int],
+    adjacency: list[list[tuple[int, int]]],
+    invariants: list[tuple],
 ) -> tuple[str, list[int]]:
-    tied_class: list[int] | None = None
-    by_rank: dict[int, list[int]] = {}
-    for i in comp:
-        by_rank.setdefault(ranks[i], []).append(i)
-    for rank in sorted(by_rank):
-        group = by_rank[rank]
-        if len(group) > 1:
-            tied_class = group
-            break
-    if tied_class is None:
-        start = min(comp, key=lambda i: ranks[i])
-        return _write_component(mol, start, key=lambda i: ranks[i])
+    """Smallest string of the tie-break search over one component, with its atom order.
+
+    Each node individualizes the atoms of its lowest tied class one at a
+    time, in atom order, refines and recurses; a leaf writes the component
+    by rank.  Only a strictly smaller string replaces a node's best.  Two
+    leaves that write the same string differ by an automorphism, which maps
+    the k-th atom of one emission order to the k-th of the other (stereo
+    and bond directions agree because the strings do).  A node skips a
+    candidate in the orbit of one it already tried, under the automorphisms
+    that fix every atom individualized above it: that subtree is the image
+    of one already searched, so its smallest string equals an earlier one
+    and could not replace the best (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014).
+    """
+    automorphisms: list[dict[int, int]] = []
+    first: tuple[str, list[int]] | None = None
     best: tuple[str, list[int]] | None = None
-    for candidate in tied_class:
-        seeded = _dense_ranks(
-            [(ranks[i], 0 if i == candidate else 1) for i in range(len(mol.atoms))]
-        )
-        refined = _refine(mol, seeded)
-        result = _component_min_string(mol, comp, refined)
-        if best is None or result[0] < best[0]:
+
+    def leaf(ranks: list[int]) -> tuple[str, list[int]]:
+        nonlocal first, best
+        result = _write_component(mol, min(comp, key=ranks.__getitem__), key=ranks.__getitem__)
+        if first is None or best is None:
+            first = best = result
+            return result
+        twin = first if result[0] == first[0] else best if result[0] == best[0] else None
+        if twin is not None:
+            moved = {a: b for a, b in zip(twin[1], result[1]) if a != b}
+            if moved and _is_automorphism(moved, adjacency, invariants):
+                automorphisms.append(moved)
+        if result[0] < best[0]:
             best = result
-    assert best is not None
-    return best
+        return result
+
+    def search(ranks: list[int], fixed: list[int]) -> tuple[str, list[int]]:
+        by_rank: dict[int, list[int]] = {}
+        for i in comp:
+            by_rank.setdefault(ranks[i], []).append(i)
+        tied = next((by_rank[r] for r in sorted(by_rank) if len(by_rank[r]) > 1), None)
+        if tied is None:
+            return leaf(ranks)
+        node_best: tuple[str, list[int]] | None = None
+        tried: list[int] = []
+        orbits: dict[int, int] = {}
+        used = 0
+        rank = ranks[tied[0]]
+        for candidate in tied:
+            if tried:
+                for moved in automorphisms[used:]:
+                    if not any(atom in moved for atom in fixed):
+                        for a, b in moved.items():
+                            orbits[_orbit_root(orbits, a)] = _orbit_root(orbits, b)
+                used = len(automorphisms)
+                root = _orbit_root(orbits, candidate)
+                if any(_orbit_root(orbits, t) == root for t in tried):
+                    continue
+            tried.append(candidate)
+            # Dense ranks of (rank, 0 for the candidate else 1).
+            seeded = [
+                r + (r > rank or (r == rank and i != candidate)) for i, r in enumerate(ranks)
+            ]
+            result = search(_refine(adjacency, seeded), fixed + [candidate])
+            if node_best is None or result[0] < node_best[0]:
+                node_best = result
+        assert node_best is not None
+        return node_best
+
+    return search(ranks, [])
 
 
 def _canonical_parts(mol: Molecule) -> list[tuple[str, list[int]]]:
-    ranks = canonical_ranks(mol)
-    parts = [_component_min_string(mol, comp, ranks) for comp in mol.components()]
+    adjacency = _bond_adjacency(mol)
+    invariants = _initial_invariants(mol)
+    ranks = _refine(adjacency, _dense_ranks(invariants))
+    parts = [
+        _component_min_string(mol, comp, ranks, adjacency, invariants)
+        for comp in mol.components()
+    ]
     parts.sort(key=lambda part: (part[0], part[1]))
     return parts
 
