@@ -154,7 +154,6 @@ DEFAULT_VALENCES: dict[str, tuple[int, ...]] = {
 # accepted in brackets only.
 ORGANIC_SUBSET: frozenset[str] = frozenset(DEFAULT_VALENCES)
 AROMATIC_ORGANIC: frozenset[str] = frozenset({"b", "c", "n", "o", "p", "s"})
-AROMATIC_BRACKET: frozenset[str] = frozenset({"b", "c", "n", "o", "p", "s", "se", "as"})
 
 # Outer-shell electron counts and lowest bonding valence for the pi-electron
 # model used by aromaticity perception.  Elements missing from these tables

@@ -2,9 +2,10 @@
 
 The grammar is the common organic subset: plain atoms B C N O P S F Cl Br I
 (lowercase b c n o p s for aromatic), bracket atoms with isotope, chirality
-(@ / @@), hydrogen count, and charge, ring closures including %nn, branches,
-dot disconnection, and the bond symbols - = # : / \\.  Directional bonds are
-kept as annotations but never interpreted as cis/trans stereo.
+(@ / @@), hydrogen count, and charge, ring closures (a digit, %nn, or the
+extended %(n)), branches, dot disconnection, and the bond symbols
+- = # : / \\.  Directional bonds are kept as annotations but never
+interpreted as cis/trans stereo.
 
 Parsing is total: it returns either a perceived Molecule or a
 ParseDiagnostic naming the failure kind and byte offset, and never raises
@@ -13,13 +14,13 @@ on arbitrary input.
 
 from __future__ import annotations
 
+import heapq
 import random
 import re
 from dataclasses import dataclass
 from enum import Enum
 
 from .elements import (
-    AROMATIC_BRACKET,
     AROMATIC_ORGANIC,
     ORGANIC_SUBSET,
     SYMBOL_TO_NUMBER,
@@ -105,6 +106,8 @@ _BRACKET_RE = re.compile(
     \]""",
     re.VERBOSE,
 )
+# A ring bond number: one digit, two after %, or the extended %(n) form.
+_RING_CLOSURE_RE = re.compile(r"[0-9]|%[0-9]{2}|%\([0-9]{1,5}\)")
 
 
 def tokenize(text: str) -> list[SmilesToken]:
@@ -141,12 +144,9 @@ def tokenize(text: str) -> list[SmilesToken]:
         elif ch in _BOND_CHARS:
             tokens.append(SmilesToken(TokenKind.BOND, ch, i))
             i += 1
-        elif ch.isdigit():
-            tokens.append(SmilesToken(TokenKind.RING_CLOSURE, ch, i))
-            i += 1
-        elif ch == "%" and i + 2 < n and text[i + 1].isdigit() and text[i + 2].isdigit():
-            tokens.append(SmilesToken(TokenKind.RING_CLOSURE, text[i : i + 3], i))
-            i += 3
+        elif ring := _RING_CLOSURE_RE.match(text, i):
+            tokens.append(SmilesToken(TokenKind.RING_CLOSURE, ring.group(), i))
+            i = ring.end()
         elif ch == "(":
             tokens.append(SmilesToken(TokenKind.BRANCH_OPEN, ch, i))
             i += 1
@@ -173,13 +173,8 @@ def _parse_bracket(token: SmilesToken) -> Atom | ParseDiagnostic:
             DiagnosticKind.BAD_BRACKET_ATOM, f"malformed bracket atom {text!r}", pos
         )
     raw_symbol = match.group("symbol")
+    # _BRACKET_RE admits only the lowercase symbols that may be aromatic.
     aromatic = raw_symbol[0].islower()
-    if aromatic and raw_symbol not in AROMATIC_BRACKET:
-        return ParseDiagnostic(
-            DiagnosticKind.UNKNOWN_ELEMENT,
-            f"element {raw_symbol!r} cannot be aromatic",
-            pos + match.start("symbol"),
-        )
     symbol = raw_symbol.capitalize() if aromatic else raw_symbol
     if symbol not in SYMBOL_TO_NUMBER:
         return ParseDiagnostic(
@@ -265,11 +260,11 @@ class _Builder:
         if of in self.stereo:
             self.stereo[of].append(entry)
 
-    def fill_ring_slot(self, of: int, digit_key: str, neighbor: int) -> None:
+    def fill_ring_slot(self, of: int, ring_number: int, neighbor: int) -> None:
         if of in self.stereo:
             slots = self.stereo[of]
             for k, entry in enumerate(slots):
-                if entry == ("ring", digit_key):
+                if entry == ("ring", ring_number):
                     slots[k] = neighbor
                     return
 
@@ -312,8 +307,8 @@ def _parse_stripped(text: str, base: int) -> Molecule | ParseDiagnostic:
     pending: _PendingBond | None = None
     # (anchor atom, atom count at open, position of '(')
     branch_stack: list[tuple[int, int, int]] = []
-    # open ring digit -> (atom, order, direction, position)
-    open_rings: dict[str, tuple[int, BondOrder | None, str | None, int]] = {}
+    # open ring number -> (atom, order, direction, position)
+    open_rings: dict[int, tuple[int, BondOrder | None, str | None, int]] = {}
     last_was_dot = False
 
     for token in tokenize(text):
@@ -329,12 +324,6 @@ def _parse_stripped(text: str, base: int) -> Molecule | ParseDiagnostic:
             if kind is TokenKind.ORGANIC_ATOM:
                 aromatic = token.text[0].islower()
                 symbol = token.text.capitalize() if aromatic else token.text
-                if aromatic and token.text not in AROMATIC_ORGANIC:
-                    return diag(
-                        DiagnosticKind.UNKNOWN_ELEMENT,
-                        f"element {token.text!r} cannot be aromatic",
-                        token.position,
-                    )
                 atom = Atom(
                     element=symbol,
                     written_aromatic=aromatic,
@@ -413,8 +402,7 @@ def _parse_stripped(text: str, base: int) -> Molecule | ParseDiagnostic:
                     "ring closure with no preceding atom",
                     token.position,
                 )
-            digit = token.text
-            key = digit.lstrip("%")
+            key = int(token.text.strip("%()"))
             if key in open_rings:
                 other, open_order, open_dir, open_pos = open_rings.pop(key)
                 if other == prev:
@@ -506,8 +494,6 @@ def _parse_stripped(text: str, base: int) -> Molecule | ParseDiagnostic:
         return diag(DiagnosticKind.UNKNOWN_ELEMENT, "dangling bond symbol", pending.position)
     if last_was_dot:
         return diag(DiagnosticKind.UNKNOWN_ELEMENT, "dot with no following atom", len(text) - 1)
-    if not builder.atoms:
-        return ParseDiagnostic(DiagnosticKind.EMPTY_INPUT, "no atoms in input", base)
 
     for idx, order in builder.stereo.items():
         builder.atoms[idx].stereo_order = tuple(
@@ -649,6 +635,12 @@ def _bond_text(mol: Molecule, bond: Bond, from_atom: int, to_atom: int) -> str:
     }[bond.order]
 
 
+def _ring_number_text(number: int) -> str:
+    if number < 10:
+        return str(number)
+    return f"%{number}" if number < 100 else f"%({number})"
+
+
 def _write_component(mol: Molecule, start: int, key) -> tuple[str, list[int]]:
     """One component as (SMILES text, atom emission order), visiting by ``key``."""
     parent: dict[int, int] = {start: -1}
@@ -686,23 +678,27 @@ def _write_component(mol: Molecule, start: int, key) -> tuple[str, list[int]]:
             break
 
     emit_rank = {atom: i for i, atom in enumerate(order)}
-    # Assign ring-closure digit numbers in emission order, reusing freed ones.
+    # Assign ring-closure numbers in emission order, lowest free number first.
     digit_of: dict[tuple[int, int], int] = {}
     events: dict[int, list[tuple[int, int]]] = {}
     for a, b in closure_bonds:
         first, second = (a, b) if emit_rank[a] < emit_rank[b] else (b, a)
         events.setdefault(first, []).append((emit_rank[second], second))
-    free = list(range(99, 0, -1))
+    free: list[int] = []  # heap of released numbers, all below ``unused``
+    unused = 1
     close_at: dict[int, list[int]] = {}
     for atom in order:
         for _, partner in sorted(events.get(atom, [])):
-            digit = free.pop()
+            if free:
+                digit = heapq.heappop(free)
+            else:
+                digit = unused
+                unused += 1
             digit_of[(atom, partner)] = digit
             digit_of[(partner, atom)] = digit
             close_at.setdefault(partner, []).append(digit)
         for digit in close_at.get(atom, []):
-            free.append(digit)
-            free.sort(reverse=True)
+            heapq.heappush(free, digit)
 
     def closure_text(atom: int) -> tuple[str, list[int]]:
         """Digit text emitted right after ``atom`` plus its closure partners in slot order."""
@@ -718,7 +714,7 @@ def _write_component(mol: Molecule, start: int, key) -> tuple[str, list[int]]:
             bond = mol.bond_between(atom, partner)
             assert bond is not None
             text.append(_bond_text(mol, bond, atom, partner))
-            text.append(str(digit) if digit < 10 else f"%{digit:02d}")
+            text.append(_ring_number_text(digit))
             partners.append(partner)
         return "".join(text), partners
 
@@ -955,6 +951,10 @@ def canonicalize(mol: Molecule) -> str:
 
     Atom order comes from neighborhood refinement with string-minimizing
     tie-breaks; disconnected components are sorted lexicographically.
+    The tie-break search skips atoms in the automorphism orbit of one
+    already tried, which leaves the result of the exhaustive search
+    unchanged and makes each independent symmetric part cost a few
+    writes rather than a doubling.
     """
     return ".".join(part[0] for part in _canonical_parts(mol))
 

@@ -2,18 +2,33 @@
 
 from __future__ import annotations
 
+import time
+from collections import Counter
+from typing import Callable
+
 import pytest
 
-from molstruct.graph import Molecule
+from molstruct.graph import Atom, Bond, Molecule, assign_implicit_hydrogens
+from molstruct.profile import extract_profile
 from molstruct.smiles import (
     DiagnosticKind,
     ParseDiagnostic,
+    TokenKind,
     canonical_order,
     canonicalize,
     parse,
     parse_strict,
     random_equivalent,
+    tokenize,
     write,
+)
+
+from test_golden_canonical import (
+    cycloalkane,
+    isopropyl_chain,
+    oligovaline,
+    polyphenyl,
+    prismane,
 )
 
 
@@ -53,6 +68,17 @@ class TestDiagnostics:
             ("C.", DiagnosticKind.UNKNOWN_ELEMENT, 1),
             ("C..C", DiagnosticKind.UNKNOWN_ELEMENT, 2),
             ("C12CC12", DiagnosticKind.UNCLOSED_RING, 6),
+            ("[HH1]", DiagnosticKind.BAD_BRACKET_ATOM, 0),
+            ("C=-C", DiagnosticKind.UNKNOWN_ELEMENT, 2),
+            ("C-.C", DiagnosticKind.UNKNOWN_ELEMENT, 1),
+            ("C(C.C)", DiagnosticKind.UNBALANCED_BRANCH, 3),
+            ("C11", DiagnosticKind.UNCLOSED_RING, 2),
+            ("C-(C)", DiagnosticKind.UNBALANCED_BRANCH, 2),
+            ("C(C-)", DiagnosticKind.UNBALANCED_BRANCH, 4),
+            ("C%5CC%5", DiagnosticKind.UNKNOWN_ELEMENT, 1),
+            ("C%()CC1", DiagnosticKind.UNKNOWN_ELEMENT, 1),
+            ("C%(123456)CC%(123456)", DiagnosticKind.UNKNOWN_ELEMENT, 1),
+            ("C\u00b2CC\u00b2", DiagnosticKind.UNKNOWN_ELEMENT, 1),
         ],
     )
     def test_kind_and_position(
@@ -110,6 +136,10 @@ class TestParsing:
         assert canonicalize(parse_strict("C%10CCCCC%10")) == canonicalize(
             parse_strict("C1CCCCC1")
         )
+
+    @pytest.mark.parametrize("text", ["C%05CCCC5", "C5CCCC%05", "C%(5)CCCC5", "C%(123)CCCC%(123)"])
+    def test_ring_numbers_match_by_value(self, text: str) -> None:
+        assert canonicalize(parse_strict(text)) == canonicalize(parse_strict("C1CCCC1"))
 
     def test_digit_reuse_after_closure(self) -> None:
         # digit 1 closes the first ring, then opens a second one
@@ -175,6 +205,85 @@ class TestWriter:
         for row in corpus_with_alternates:
             canons = {canonicalize(parse_strict(form)) for form in row}
             assert len(canons) == 1, row
+
+
+def ladder(rungs: int, index: Callable[[int], int] = lambda i: i) -> Molecule:
+    """Fused cyclobutanes: two carbon strands joined rung by rung.
+
+    Top atom k is ``index(k)`` and bottom atom k is ``index(rungs + k)``.
+    Built from the graph, because ring perception is slow on long ladders
+    and neither the writer nor the canonicalizer reads the rings.
+    """
+    atoms = [Atom(element="C") for _ in range(2 * rungs)]
+    pairs = [(k, k + 1) for k in range(rungs - 1)]
+    pairs += [(rungs + k, rungs + k + 1) for k in range(rungs - 1)]
+    pairs += [(k, rungs + k) for k in range(rungs)]
+    bonds = [Bond(a=index(a), b=index(b)) for a, b in pairs]
+    return assign_implicit_hydrogens(Molecule(atoms, bonds))
+
+
+class TestManyOpenRingBonds:
+    def test_writer_numbers_ring_bonds_above_99(self) -> None:
+        # In input order the walk runs the whole top strand first and
+        # leaves 100 rungs open at once.
+        mol = ladder(101)
+        text = write(mol)
+        assert "%99" in text and "%(100)" in text
+        assert canonicalize(parse_strict(text)) == canonicalize(mol)
+
+    def test_canonicalize_with_more_than_99_open_ring_bonds(self) -> None:
+        canon = canonicalize(ladder(200))
+        assert "%(100)" in canon
+        numbers = Counter(t.text for t in tokenize(canon) if t.kind is TokenKind.RING_CLOSURE)
+        assert sum(numbers.values()) == 2 * 199
+        assert all(count % 2 == 0 for count in numbers.values())
+        assert canonicalize(ladder(200, lambda i: (7 * i) % 400)) == canon
+
+
+def best_seconds(call: Callable[[], object], bound: float, tries: int = 3) -> float:
+    """Wall time of ``call``: the first try under ``bound``, else the fastest."""
+    best = float("inf")
+    for _ in range(tries):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+        if best < bound:
+            break
+    return best
+
+
+class TestCanonicalScaling:
+    """Symmetric molecules whose tie-break search was exponential.
+
+    Each bound is about five times the time measured on a 2-core machine
+    (Python 3.11); an exhaustive tie-break search takes from tens of
+    seconds to minutes on each.  The canonical form must also survive a
+    respelling and a parse back.
+    """
+
+    @pytest.mark.parametrize(
+        "smiles,bound",
+        [
+            (polyphenyl(15), 0.5),
+            (isopropyl_chain(12), 0.15),
+            (cycloalkane(200), 1.0),
+            (prismane(40), 0.2),
+        ],
+        ids=["polyphenyl-15", "isopropyl-chain-12", "cyclo-C200", "prismane-40"],
+    )
+    def test_canonicalize_in_time(self, smiles: str, bound: float) -> None:
+        mol = parse_strict(smiles)
+        assert best_seconds(lambda: canonicalize(mol), bound) < bound
+        canon = canonicalize(mol)
+        assert canonicalize(parse_strict(random_equivalent(mol, 5))) == canon
+        assert canonicalize(parse_strict(canon)) == canon
+
+    def test_stereo_tagged_oligovaline_profile_in_time(self) -> None:
+        mol = parse_strict(oligovaline(20))
+        assert best_seconds(lambda: extract_profile(mol), 0.6) < 0.6
+        centers = extract_profile(mol).chiral_centers
+        assert len(centers) == 20
+        assert extract_profile(parse_strict(random_equivalent(mol, 5))).chiral_centers == centers
 
 
 class TestCanonicalization:
