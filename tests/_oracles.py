@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from molstruct.graph import Molecule
+from molstruct.graph import H_BRANCH, Chirality, Molecule
 
 
 def ring_atoms_oracle(mol: Molecule) -> set[int]:
@@ -134,3 +134,121 @@ def formula_oracle(mol: Molecule) -> str:
         counts["H"] = counts.get("H", 0) + hydrogens
     parts.extend(sorted(counts.items()))
     return "".join(f"{sym}{n if n > 1 else ''}" for sym, n in parts)
+
+
+def _order_parity(seq: list[int], target: list[int]) -> int:
+    """Parity of the inversions of ``seq`` read as positions in ``target``.
+
+    Equal entries (bracket hydrogens) are matched left to right.
+    """
+    slots: dict[int, list[int]] = {}
+    for pos, item in enumerate(target):
+        slots.setdefault(item, []).append(pos)
+    positions = [slots[item].pop(0) for item in seq]
+    inversions = sum(
+        1
+        for i in range(len(positions))
+        for j in range(i + 1, len(positions))
+        if positions[i] > positions[j]
+    )
+    return inversions % 2
+
+
+def isomorphic_oracle(a: Molecule, b: Molecule) -> bool:
+    """True when an atom bijection carries ``a`` onto ``b``.
+
+    Atoms must agree on element, charge, isotope, total hydrogens,
+    aromatic flag and whether they carry a chirality tag; bonds must agree
+    on order.  For each tagged atom, its recorded neighbor order mapped
+    into ``b`` must be an even permutation of the partner's recorded order
+    when the tags are equal and an odd one when they differ.  Plain
+    backtracking over the atoms of ``a`` in breadth-first order, each atom
+    after the first of its component tried only against the unused
+    neighbors of an already mapped neighbor's image.
+    """
+    n = len(a.atoms)
+    if n != len(b.atoms) or len(a.bonds) != len(b.bonds):
+        return False
+
+    def bond_orders(mol: Molecule) -> list[dict[int, object]]:
+        table: list[dict[int, object]] = [{} for _ in mol.atoms]
+        for bond in mol.bonds:
+            table[bond.a][bond.b] = bond.order
+            table[bond.b][bond.a] = bond.order
+        return table
+
+    def labels(mol: Molecule, table: list[dict[int, object]]) -> list[tuple]:
+        return [
+            (
+                atom.element,
+                atom.charge,
+                -1 if atom.isotope is None else atom.isotope,
+                atom.total_h,
+                atom.is_aromatic,
+                atom.chirality is Chirality.NONE,
+                len(table[atom.index]),
+            )
+            for atom in mol.atoms
+        ]
+
+    adj_a, adj_b = bond_orders(a), bond_orders(b)
+    label_a, label_b = labels(a, adj_a), labels(b, adj_b)
+    if sorted(label_a) != sorted(label_b):
+        return False
+
+    visit: list[int] = []
+    anchor: dict[int, int | None] = {}
+    for root in range(n):
+        if root in anchor:
+            continue
+        anchor[root] = None
+        queue = [root]
+        while queue:
+            cur = queue.pop(0)
+            visit.append(cur)
+            for nxt in sorted(adj_a[cur]):
+                if nxt not in anchor:
+                    anchor[nxt] = cur
+                    queue.append(nxt)
+
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def stereo_agrees(x: int) -> bool:
+        atom = a.atoms[x]
+        if atom.chirality is Chirality.NONE or x not in mapping:
+            return True
+        if any(z not in mapping for z in adj_a[x]):
+            return True  # checked again once every neighbor is mapped
+        partner = b.atoms[mapping[x]]
+        mapped = [H_BRANCH if z == H_BRANCH else mapping[z] for z in atom.stereo_order]
+        if sorted(mapped) != sorted(partner.stereo_order):
+            return False
+        flipped = atom.chirality is not partner.chirality
+        return _order_parity(mapped, list(partner.stereo_order)) == int(flipped)
+
+    def extend(k: int) -> bool:
+        if k == n:
+            return True
+        x = visit[k]
+        if anchor[x] is None:
+            candidates = list(range(n))
+        else:
+            candidates = sorted(adj_b[mapping[anchor[x]]])
+        mapped_nbrs = [z for z in adj_a[x] if z in mapping]
+        for y in candidates:
+            if y in used or label_a[x] != label_b[y]:
+                continue
+            if any(adj_b[y].get(mapping[z]) != adj_a[x][z] for z in mapped_nbrs):
+                continue
+            if sum(1 for w in adj_b[y] if w in used) != len(mapped_nbrs):
+                continue
+            mapping[x] = y
+            used.add(y)
+            if all(stereo_agrees(z) for z in [x, *adj_a[x]]) and extend(k + 1):
+                return True
+            del mapping[x]
+            used.discard(y)
+        return False
+
+    return extend(0)
