@@ -14,7 +14,6 @@ on arbitrary input.
 
 from __future__ import annotations
 
-import heapq
 import random
 import re
 from dataclasses import dataclass
@@ -684,21 +683,21 @@ def _write_component(mol: Molecule, start: int, key) -> tuple[str, list[int]]:
     for a, b in closure_bonds:
         first, second = (a, b) if emit_rank[a] < emit_rank[b] else (b, a)
         events.setdefault(first, []).append((emit_rank[second], second))
-    free: list[int] = []  # heap of released numbers, all below ``unused``
+    free: list[int] = []  # released numbers, all below ``unused``
     unused = 1
     close_at: dict[int, list[int]] = {}
     for atom in order:
         for _, partner in sorted(events.get(atom, [])):
             if free:
-                digit = heapq.heappop(free)
+                digit = min(free)
+                free.remove(digit)
             else:
                 digit = unused
                 unused += 1
             digit_of[(atom, partner)] = digit
             digit_of[(partner, atom)] = digit
             close_at.setdefault(partner, []).append(digit)
-        for digit in close_at.get(atom, []):
-            heapq.heappush(free, digit)
+        free.extend(close_at.get(atom, []))
 
     def closure_text(atom: int) -> tuple[str, list[int]]:
         """Digit text emitted right after ``atom`` plus its closure partners in slot order."""
