@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import time
 from collections import Counter
 from typing import Callable
@@ -286,7 +287,67 @@ class TestCanonicalScaling:
         assert extract_profile(parse_strict(random_equivalent(mol, 5))).chiral_centers == centers
 
 
+def graph_molecule(n: int, edges: list[tuple[int, int]], perm: list[int]) -> Molecule:
+    """Bracket carbons joined by single bonds, atom ``i`` renumbered ``perm[i]``."""
+    atoms = [Atom(element="C", bracket=True) for _ in range(n)]
+    return Molecule(atoms, [Bond(a=perm[a], b=perm[b]) for a, b in edges])
+
+
+def torus_graph(steps: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Cayley graph of Z4 x Z4 with the given steps."""
+    return sorted({
+        tuple(sorted((4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)))
+        for a in range(4) for b in range(4) for da, db in steps
+    })
+
+
+# Vertex-transitive graphs where neighborhood refinement leaves every atom
+# tied, so every canonical form comes from the tie-break search.
+SYMMETRIC_GRAPHS = {
+    "petersen": (10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]),
+    "hypercube-4": (16, [(i, i ^ (1 << k)) for i in range(16) for k in range(4) if i < i ^ (1 << k)]),
+    "heawood": (14, [(i, (i + 1) % 14) for i in range(14)] + [(i, (i + 5) % 14) for i in range(0, 14, 2)]),
+    "shrikhande": (16, torus_graph([(0, 1), (1, 0), (1, 1), (0, 3), (3, 0), (3, 3)])),
+    "rook-4x4": (16, torus_graph([(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)])),
+}
+
+
 class TestCanonicalization:
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_GRAPHS))
+    def test_symmetric_graph_form_survives_renumbering(self, name: str) -> None:
+        n, edges = SYMMETRIC_GRAPHS[name]
+        reference = canonicalize(graph_molecule(n, edges, list(range(n))))
+        for seed in range(3):
+            perm = list(range(n))
+            random.Random(seed).shuffle(perm)
+            assert canonicalize(graph_molecule(n, edges, perm)) == reference
+
+    def test_random_cubic_graph_forms_survive_renumbering(self) -> None:
+        rng = random.Random(1)
+        for _ in range(30):
+            n = rng.choice([10, 12, 14, 16, 18, 20])
+            edges: set[tuple[int, int]] = set()
+            while len(edges) < 3 * n // 2:  # random perfect matchings of 3n stubs
+                stubs = [i for i in range(n) for _ in range(3)]
+                rng.shuffle(stubs)
+                pairs = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2]) if a != b}
+                edges = pairs if len(pairs) == 3 * n // 2 else set()
+            forms = set()
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                forms.add(canonicalize(graph_molecule(n, sorted(edges), perm)))
+            assert len(forms) == 1, sorted(edges)
+
+    def test_refinement_equivalent_graphs_stay_distinct(self) -> None:
+        # Both are strongly regular with parameters (16, 6, 2, 2).
+        forms = {
+            canonicalize(graph_molecule(16, SYMMETRIC_GRAPHS[name][1], list(range(16))))
+            for name in ("shrikhande", "rook-4x4")
+        }
+        assert len(forms) == 2
+
     def test_spelling_invariance(self) -> None:
         groups = [
             ["CCO", "OCC", "C(O)C", "C(C)O"],
