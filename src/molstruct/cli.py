@@ -12,22 +12,43 @@ line, '-' for stdin/stdout):
     compare   {"smiles": gold, "predicted": p} ->
               one comparison report object
 
+Records stream through in input order.  Input lines are read one at a
+time as the work needs them, each decoded as UTF-8 on its own; blank
+lines are skipped.  At ``--jobs 1`` every record runs inline, and
+analyze, canon and select write and flush its output line before the
+next input line is read.  At ``--jobs N`` the lines go to a pool of N
+processes in chunks of _CHUNK_RECORDS, at most _WINDOW_CHUNKS_PER_JOB * N
+chunks in flight, and the output lines of the oldest chunk are written
+as soon as it finishes.  score and compare fold each result into
+running sums and write their one report at the end.  So memory stays
+flat however long the input is.
+
 Per-record failures never abort a run: the output record carries an
 "error" code ("UnclosedRing", "BadRecord", "RationaleParse", ...) and a
-"message", and the process exits 1.  Exit 0 means every record was
-clean; exit 2 means the invocation itself was unusable (bad flags,
-unreadable files, malformed catalog).
+"message"; score and compare skip the record with a "record N skipped"
+warning on stderr, N counting non-blank lines.  A line that is not
+valid UTF-8 is a "BadRecord".  As a last resort an unexpected exception
+fails only its own record, with the code "Internal" and the message
+"<Type>: <text>".  Exit 0 means every record was clean and exit 1 that
+at least one failed or was skipped; exit 2 means the invocation itself
+was unusable (bad flags, unreadable files, malformed catalog, an output
+file that is the input file).  When the reader of the output goes away,
+as in ``molstruct analyze ... | head -1``, the run stops reading,
+cancels the pool work not yet started and exits 1 without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Sequence, TextIO
+from itertools import islice
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .catalog import Catalog
 from .errors import MolstructError
@@ -49,6 +70,14 @@ from .rationale import (
 )
 from .selection import select
 from .smiles import ParseDiagnostic, canonicalize, parse
+
+_CHUNK_RECORDS = 32
+"""Records per pool task at ``--jobs N``."""
+
+_WINDOW_CHUNKS_PER_JOB = 4
+"""Chunks in flight per worker process: enough that every worker stays
+busy while the oldest chunk's lines are written, few enough that memory
+does not grow with the input."""
 
 
 def _error_code(exc: MolstructError) -> str:
@@ -72,10 +101,15 @@ def _load_catalog(path: str | None) -> Catalog:
     return Catalog.default() if path is None else Catalog.from_path(path)
 
 
-def _parse_record(line: str, required: tuple[str, ...]) -> dict | str:
-    """Decode one input line; an error message string on failure."""
+def _parse_record(line: str | bytes, required: tuple[str, ...]) -> dict | str:
+    """Decode one input line; an error message string on failure.
+
+    ``line`` is bytes when the reader could not decode it as UTF-8.
+    """
     try:
-        record = json.loads(line)
+        record = json.loads(line if isinstance(line, str) else line.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        return f"record is not valid UTF-8: {exc}"
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
         return f"malformed JSON record: {exc}"
     if not isinstance(record, dict):
@@ -162,27 +196,25 @@ def _select_record(config: _JobConfig, line: str) -> dict:
     }
 
 
-def _score_record(
-    config: _JobConfig, line: str
-) -> tuple[dict[ComponentKind, float] | None, str | None]:
-    """One gold/rationale pair; (scores, None) or (None, warning)."""
+def _score_record(config: _JobConfig, line: str) -> dict[ComponentKind, float] | str:
+    """One gold/rationale pair: its component scores, or why it was skipped."""
     record = _parse_record(line, ("smiles", "rationale"))
     if isinstance(record, str):
-        return None, record
+        return record
     if not isinstance(record["smiles"], str) or not isinstance(record["rationale"], str):
-        return None, "smiles and rationale must be strings"
+        return "smiles and rationale must be strings"
     molecule = parse(record["smiles"])
     if isinstance(molecule, ParseDiagnostic):
-        return None, f"gold SMILES failed to parse: {molecule.message}"
+        return f"gold SMILES failed to parse: {molecule.message}"
     gold_name = record.get("iupac_name")
     if gold_name is not None and not isinstance(gold_name, str):
-        return None, "iupac_name must be a string"
+        return "iupac_name must be a string"
     try:
         rationale = parse_rationale(record["rationale"])
         if config.components is not None:
             rationale = apply_reliability_mask(rationale, config.components)
             if not rationale.mask:
-                return None, "no requested components present in the rationale"
+                return "no requested components present in the rationale"
         scores = score_reasoning(
             molecule,
             rationale,
@@ -191,8 +223,8 @@ def _score_record(
             catalog=_load_catalog(config.catalog_path),
         )
     except MolstructError as exc:
-        return None, str(exc)
-    return scores, None
+        return str(exc)
+    return scores
 
 
 def _compare_record(config: _JobConfig, line: str) -> ComparisonRecord | str:
@@ -204,15 +236,76 @@ def _compare_record(config: _JobConfig, line: str) -> ComparisonRecord | str:
     return compare_pair(record["smiles"], record["predicted"])
 
 
-def _map_records(
-    worker: Callable, config: _JobConfig, lines: Sequence[str], jobs: int
-) -> list:
-    bound = partial(worker, config)
-    if jobs <= 1 or len(lines) <= 1:
-        return [bound(line) for line in lines]
-    chunk = max(1, len(lines) // (jobs * 4))
+def _internal_record(message: str) -> dict:
+    return {"error": "Internal", "message": message}
+
+
+def _internal_warning(message: str) -> str:
+    return f"internal error: {message}"
+
+
+_SUBCOMMANDS: dict[str, tuple[Callable, Callable[[str], object]]] = {
+    "analyze": (_analyze_record, _internal_record),
+    "canon": (_canon_record, _internal_record),
+    "select": (_select_record, _internal_record),
+    "score": (_score_record, _internal_warning),
+    "compare": (_compare_record, _internal_warning),
+}
+"""Per subcommand: the record worker, and what an unexpected exception
+in it turns into (an output record, or a skipped-record warning)."""
+
+
+def _guarded(
+    worker: Callable, on_internal: Callable[[str], object], config: _JobConfig, line: str | bytes
+) -> object:
+    """Run one record's worker; an exception it did not handle fails only this record."""
+    try:
+        return worker(config, line)
+    except Exception as exc:  # last resort: one bad record must not end the run
+        return on_internal(f"{type(exc).__name__}: {exc}")
+
+
+def _input_lines(stream: BinaryIO) -> Iterator[str | bytes]:
+    """The non-blank lines of ``stream``, stripped, read one at a time.
+
+    Each line is decoded as UTF-8 on its own; one that does not decode
+    is passed on as bytes, so that only its own record fails.
+    """
+    for raw in stream:
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            yield raw
+        else:
+            if line:
+                yield line
+
+
+def _run_chunk(task: Callable, chunk: list) -> list:
+    return [task(line) for line in chunk]
+
+
+def _results(task: Callable, lines: Iterator, jobs: int) -> Iterator:
+    """``task`` applied to every line, in input order, as results are ready."""
+    if jobs == 1:
+        yield from map(task, lines)
+        return
+    # Imported here so that a --jobs 1 run does not pay for multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
+    window: deque = deque()
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(bound, lines, chunksize=chunk))
+        try:
+            while chunk := list(islice(lines, _CHUNK_RECORDS)):
+                window.append(pool.submit(_run_chunk, task, chunk))
+                if len(window) == _WINDOW_CHUNKS_PER_JOB * jobs:
+                    yield from window.popleft().result()
+            while window:
+                yield from window.popleft().result()
+        finally:
+            # Reached early when the consumer stopped (closed output pipe):
+            # drop the chunks no worker has started.
+            pool.shutdown(cancel_futures=True)
 
 
 def _component_list(
@@ -298,21 +391,84 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_input(path: str) -> TextIO:
-    return sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
+def _is_input_file(source: BinaryIO, output_path: str) -> bool:
+    """Whether ``output_path`` is the regular file ``source`` reads, which
+    opening the output would truncate before it is read."""
+    if output_path == "-":
+        return False
+    try:
+        target = os.stat(output_path)
+        return stat.S_ISREG(target.st_mode) and os.path.samestat(
+            os.fstat(source.fileno()), target
+        )
+    except (OSError, ValueError):  # no output file yet, or a source with no descriptor
+        return False
 
 
-def _open_output(path: str) -> TextIO:
-    return sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
+def _write_records(results: Iterable[dict], output: TextIO) -> int:
+    exit_code = 0
+    for record in results:
+        output.write(json.dumps(record) + "\n")
+        output.flush()
+        if "error" in record:
+            exit_code = 1
+    return exit_code
 
 
-def _read_lines(stream: TextIO) -> list[str]:
-    return [line.strip() for line in stream if line.strip()]
+def _write_report(command: str, results: Iterable, output: TextIO) -> int:
+    """Fold score or compare results into one report; warn for each
+    skipped record (a warning string in place of a result)."""
+    n_records = 0
+    skipped = 0
+
+    def usable() -> Iterator:
+        nonlocal n_records, skipped
+        for n_records, result in enumerate(results, start=1):
+            if isinstance(result, str):
+                print(f"molstruct: record {n_records} skipped: {result}", file=sys.stderr)
+                skipped += 1
+            else:
+                yield result
+
+    if command == "score":
+        report = aggregate_accuracy(usable(), n_records=0)
+        # n_records counts every record, known only once the input is read.
+        report = replace(report, n_records=n_records)
+    else:
+        report = aggregate_comparison(usable())
+    output.write(json.dumps(report.to_dict()) + "\n")
+    output.flush()
+    return 1 if skipped else 0
 
 
-def _emit(stream: TextIO, records: Iterable[dict]) -> None:
-    for record in records:
-        stream.write(json.dumps(record) + "\n")
+def _run(args: argparse.Namespace, config: _JobConfig, source: BinaryIO) -> int:
+    if _is_input_file(source, args.output):
+        print("molstruct: the output file is the input file", file=sys.stderr)
+        return 2
+    try:
+        output = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"molstruct: cannot open output: {exc}", file=sys.stderr)
+        return 2
+    worker, on_internal = _SUBCOMMANDS[args.command]
+    task = partial(_guarded, worker, on_internal, config)
+    results = _results(task, _input_lines(source), args.jobs)
+    try:
+        if args.command in ("score", "compare"):
+            return _write_report(args.command, results, output)
+        return _write_records(results, output)
+    except BrokenPipeError:
+        # The reader went away.  Point the stream at devnull so that its
+        # flush at close or exit cannot raise again (recipe from the
+        # `signal` module docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, output.fileno())
+        os.close(devnull)
+        return 1
+    finally:
+        results.close()
+        if output is not sys.stdout:
+            output.close()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -335,51 +491,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
     try:
-        with _open_input(args.input) as stream:
-            lines = _read_lines(stream)
+        source = sys.stdin.buffer if args.input == "-" else open(args.input, "rb")
     except OSError as exc:
         print(f"molstruct: cannot read input: {exc}", file=sys.stderr)
         return 2
-
-    workers = {
-        "analyze": _analyze_record,
-        "canon": _canon_record,
-        "select": _select_record,
-    }
-    exit_code = 0
     try:
-        output = _open_output(args.output)
-    except OSError as exc:
-        print(f"molstruct: cannot open output: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.command in workers:
-            results = _map_records(workers[args.command], config, lines, args.jobs)
-            _emit(output, results)
-            if any("error" in record for record in results):
-                exit_code = 1
-        elif args.command == "score":
-            results = _map_records(_score_record, config, lines, args.jobs)
-            scored = [scores for scores, _ in results if scores is not None]
-            for index, (scores, warning) in enumerate(results, start=1):
-                if scores is None:
-                    print(f"molstruct: record {index} skipped: {warning}", file=sys.stderr)
-                    exit_code = 1
-            report = aggregate_accuracy(scored, n_records=len(lines))
-            output.write(json.dumps(report.to_dict()) + "\n")
-        else:  # compare
-            results = _map_records(_compare_record, config, lines, args.jobs)
-            records = [entry for entry in results if isinstance(entry, ComparisonRecord)]
-            for index, entry in enumerate(results, start=1):
-                if isinstance(entry, str):
-                    print(f"molstruct: record {index} skipped: {entry}", file=sys.stderr)
-                    exit_code = 1
-            report = aggregate_comparison(records)
-            output.write(json.dumps(report.to_dict()) + "\n")
+        return _run(args, config, source)
     finally:
-        if output is not sys.stdout:
-            output.close()
-    return exit_code
+        if args.input != "-":
+            source.close()
 
 
 if __name__ == "__main__":

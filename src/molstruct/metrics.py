@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .catalog import Catalog
 from .errors import EmptyRationaleError, WidthMismatchError
@@ -282,12 +282,14 @@ class AccuracyReport:
 
 
 def aggregate_accuracy(
-    per_record: Sequence[dict[ComponentKind, float]], n_records: int
+    per_record: Iterable[dict[ComponentKind, float]], n_records: int
 ) -> AccuracyReport:
-    """Pool per-record component scores into an accuracy report."""
+    """Pool per-record component scores into an accuracy report, in one
+    pass over ``per_record``."""
     sums: dict[ComponentKind, float] = {kind: 0.0 for kind in CANONICAL_ORDER}
     counts: dict[ComponentKind, int] = {kind: 0 for kind in CANONICAL_ORDER}
-    for scores in per_record:
+    n_scored = 0
+    for n_scored, scores in enumerate(per_record, start=1):
         for kind, value in scores.items():
             sums[kind] += value
             counts[kind] += 1
@@ -298,9 +300,7 @@ def aggregate_accuracy(
         )
         for kind in CANONICAL_ORDER
     }
-    return AccuracyReport(
-        n_records=n_records, n_scored=len(per_record), components=components
-    )
+    return AccuracyReport(n_records=n_records, n_scored=n_scored, components=components)
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +364,30 @@ class ComparisonReport:
         }
 
 
-def aggregate_comparison(records: Sequence[ComparisonRecord]) -> ComparisonReport:
-    """Pool pair records into a corpus report; empty input yields Nones."""
-    n = len(records)
+def aggregate_comparison(records: Iterable[ComparisonRecord]) -> ComparisonReport:
+    """Pool pair records into a corpus report in one pass over ``records``;
+    empty input yields Nones.  Sums run in record order."""
+    n = exact = valid = edits = 0
+    similarity = 0.0
+
+    def bleu_stats_of_records() -> Iterator[BleuStats]:
+        nonlocal n, exact, valid, edits, similarity
+        for record in records:
+            n += 1
+            exact += record.exact
+            valid += record.valid
+            edits += record.levenshtein
+            similarity += record.morgan_similarity
+            yield record.bleu
+
+    bleu = corpus_bleu_from_stats(bleu_stats_of_records())
     if n == 0:
         return ComparisonReport(0, None, None, None, None, None)
     return ComparisonReport(
         n_records=n,
-        exact_match=sum(r.exact for r in records) / n,
-        levenshtein_mean=sum(r.levenshtein for r in records) / n,
-        morgan_similarity_mean=sum(r.morgan_similarity for r in records) / n,
-        validity=sum(r.valid for r in records) / n,
-        bleu=corpus_bleu_from_stats(r.bleu for r in records),
+        exact_match=exact / n,
+        levenshtein_mean=edits / n,
+        morgan_similarity_mean=similarity / n,
+        validity=valid / n,
+        bleu=bleu,
     )

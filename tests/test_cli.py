@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import select
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from molstruct import extract_profile, from_profile, parse_strict, render
-from molstruct.cli import main
+from molstruct import cli, extract_profile, from_profile, parse_strict, render
+from molstruct.cli import _CHUNK_RECORDS, _WINDOW_CHUNKS_PER_JOB, main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CLI = [sys.executable, "-m", "molstruct.cli"]
+CLI_ENV = {**os.environ, "PYTHONPATH": SRC}
 
 
 def run_cli(
@@ -94,12 +100,6 @@ class TestAnalyze:
         assert main(["analyze", "--components", "iupac_name"]) == 2
         capsys.readouterr()
 
-    def test_parallel_matches_serial(self, tmp_path, capsys) -> None:
-        lines = [{"smiles": "C" * (i % 5 + 1)} for i in range(24)]
-        _, serial, _ = run_cli(tmp_path, ["analyze"], lines, capsys)
-        _, parallel, _ = run_cli(tmp_path, ["analyze", "--jobs", "3"], lines, capsys)
-        assert serial == parallel
-
     def test_missing_smiles_field(self, tmp_path, capsys) -> None:
         code, records, _ = run_cli(tmp_path, ["analyze"], [{"smile": "C"}], capsys)
         assert code == 1
@@ -158,7 +158,6 @@ class TestSelect:
             "rationale": render(from_profile(extract_profile(parse_strict("C=C")))),
             "candidates": ["F/C=C/F", "CC=C", "F/C=C\\F", "C=C"],
         })
-        src = str(Path(__file__).resolve().parent.parent / "src")
         outputs = set()
         for seed in range(6):
             proc = subprocess.run(
@@ -167,7 +166,7 @@ class TestSelect:
                 input=line + "\n",
                 capture_output=True,
                 text=True,
-                env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
+                env={**CLI_ENV, "PYTHONHASHSEED": str(seed)},
             )
             assert proc.returncode == 0, proc.stderr
             outputs.add(proc.stdout)
@@ -400,3 +399,198 @@ class TestInvocation:
         code, records, _ = run_cli(tmp_path, ["analyze"], [], capsys)
         assert code == 0
         assert records == []
+
+
+def _rationale(smiles: str) -> str:
+    return render(from_profile(extract_profile(parse_strict(smiles))))
+
+
+def _stream_rows(command: str, n: int) -> list[str]:
+    """``n`` input lines for ``command``, a malformed one every 97th, with
+    a blank line after every 10th."""
+    molecules = ["CCO", "c1ccccc1O", "CC(=O)O", "N[C@@H](C)C(=O)O", "C1CCCCC1", "CCN"]
+    rows: list[str] = []
+    for i in range(n):
+        smiles = molecules[i % len(molecules)]
+        other = molecules[(i + 1) % len(molecules)]
+        row = {
+            "analyze": {"smiles": smiles},
+            "canon": {"smiles": smiles},
+            "select": {"rationale": _rationale(smiles), "candidates": [other, smiles]},
+            "score": {"smiles": smiles, "rationale": _rationale(other)},
+            "compare": {"smiles": smiles, "predicted": other},
+        }[command]
+        rows.append("not json" if i % 97 == 50 else json.dumps(row))
+        if i % 10 == 9:
+            rows.append("")
+    return rows
+
+
+def run_cli_raw(
+    tmp_path: Path, args: list[str], text: bytes, capsys: pytest.CaptureFixture
+) -> tuple[int, bytes, str]:
+    """Run main() on raw input bytes; returns (code, output bytes, stderr)."""
+    in_path = tmp_path / "raw_in.jsonl"
+    out_path = tmp_path / "raw_out.jsonl"
+    in_path.write_bytes(text)
+    code = main(args + ["--input", str(in_path), "--output", str(out_path)])
+    return code, out_path.read_bytes(), capsys.readouterr().err
+
+
+def _raise_on_ccn(original):
+    def wrapper(*args, **kwargs):
+        if any(arg == "CCN" or (isinstance(arg, list) and "CCN" in arg) for arg in args):
+            raise RuntimeError("boom")
+        return original(*args, **kwargs)
+
+    return wrapper
+
+
+class TestStream:
+    @pytest.mark.parametrize("command", ["analyze", "canon", "select", "score", "compare"])
+    def test_parallel_matches_serial(self, tmp_path, capsys, command) -> None:
+        window_records = _CHUNK_RECORDS * _WINDOW_CHUNKS_PER_JOB * 2
+        n = window_records * 3 // 2 + 5  # the window of --jobs 2 fills and drains
+        text = ("\n".join(_stream_rows(command, n)) + "\n").encode()
+        serial = run_cli_raw(tmp_path, [command], text, capsys)
+        parallel = run_cli_raw(tmp_path, [command, "--jobs", "2"], text, capsys)
+        assert serial == parallel
+        code, output, err = serial
+        assert code == 1
+        malformed = [i + 1 for i in range(n) if i % 97 == 50]
+        if command in ("score", "compare"):
+            assert [line.split(":")[1] for line in err.splitlines()] == [
+                f" record {k} skipped" for k in malformed
+            ]
+        else:
+            records = [json.loads(line) for line in output.splitlines()]
+            assert len(records) == n
+            assert [k for k, record in enumerate(records, 1) if "error" in record] == malformed
+
+    @pytest.mark.parametrize(
+        "jobs",
+        [
+            "1",
+            pytest.param("2", marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork",
+                reason="pool workers see the monkeypatch only when forked",
+            )),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command, layer, rows",
+        [
+            ("analyze", "parse", [{"smiles": s} for s in ("CCO", "CCN", "CCC")]),
+            ("canon", "parse", [{"smiles": s} for s in ("CCO", "CCN", "CCC")]),
+            ("select", "select", [
+                {"rationale": "The molecular formula is C2H6O.", "candidates": [s]}
+                for s in ("CCO", "CCN", "CCC")
+            ]),
+            ("score", "parse", [
+                {"smiles": s, "rationale": "The molecular formula is C2H6O."}
+                for s in ("CCO", "CCN", "CCC")
+            ]),
+            ("compare", "compare_pair", [
+                {"smiles": s, "predicted": s} for s in ("CCO", "CCN", "CCC")
+            ]),
+        ],
+    )
+    def test_unexpected_exception_fails_only_its_record(
+        self, tmp_path, capsys, monkeypatch, command, layer, rows, jobs
+    ) -> None:
+        monkeypatch.setattr(cli, layer, _raise_on_ccn(getattr(cli, layer)))
+        text = "".join(json.dumps(row) + "\n" for row in rows).encode()
+        code, output, err = run_cli_raw(tmp_path, [command, "--jobs", jobs], text, capsys)
+        assert code == 1
+        records = [json.loads(line) for line in output.splitlines()]
+        if command in ("score", "compare"):
+            assert err == "molstruct: record 2 skipped: internal error: RuntimeError: boom\n"
+            assert records[0]["n_records"] == (3 if command == "score" else 2)
+        else:
+            assert [record.get("error") for record in records] == [None, "Internal", None]
+            assert records[1] == {"error": "Internal", "message": "RuntimeError: boom"}
+
+    BAD_UTF8 = b'{"smiles": "CCO"}\n{"smiles": "C\xffC"}\n{"smiles": "CCC"}\n'
+
+    @pytest.mark.parametrize("via", ["input", "stdin"])
+    def test_invalid_utf8_fails_only_its_record(self, tmp_path, capsys, via) -> None:
+        if via == "input":
+            code, output, _ = run_cli_raw(tmp_path, ["analyze"], self.BAD_UTF8, capsys)
+        else:
+            proc = subprocess.run(
+                CLI + ["analyze"], input=self.BAD_UTF8, capture_output=True, env=CLI_ENV,
+                timeout=60,
+            )
+            code, output = proc.returncode, proc.stdout
+            assert proc.stderr == b""
+        records = [json.loads(line) for line in output.splitlines()]
+        assert code == 1
+        assert [record.get("error") for record in records] == [None, "BadRecord", None]
+        assert records[1]["message"].startswith("record is not valid UTF-8: ")
+        assert records[2]["smiles"] == "CCC"
+
+    def test_invalid_utf8_is_a_skipped_score_record(self, tmp_path, capsys) -> None:
+        row = b'{"smiles": "%b", "rationale": "The molecular formula is C2H6O."}\n'
+        text = b"".join(row % smiles for smiles in (b"CCO", b"C\xffC", b"CCC"))
+        code, output, err = run_cli_raw(tmp_path, ["score"], text, capsys)
+        assert code == 1
+        assert json.loads(output)["n_records"] == 3
+        assert json.loads(output)["n_scored"] == 2
+        assert err.startswith("molstruct: record 2 skipped: record is not valid UTF-8")
+
+    def test_first_output_line_arrives_before_the_input_ends(self) -> None:
+        proc = subprocess.Popen(
+            CLI + ["analyze"], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, env=CLI_ENV,
+        )
+        try:
+            proc.stdin.write(b'{"smiles": "CCO"}\n')
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 30)
+            first = proc.stdout.readline() if ready else b""
+        finally:
+            proc.stdin.close()
+            proc.wait(timeout=60)
+        assert ready, "no output line while the input was still open"
+        assert json.loads(first)["smiles"] == "CCO"
+        assert proc.returncode == 0
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_closed_output_pipe_ends_the_run_quietly(self, tmp_path, jobs) -> None:
+        in_path = tmp_path / "many.jsonl"
+        in_path.write_text('{"smiles": "CCO"}\n' * 5000)  # far more output than a pipe holds
+        proc = subprocess.Popen(
+            CLI + ["canon", "--jobs", jobs, "--input", str(in_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CLI_ENV,
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert json.loads(first)["canonical_smiles"] == "CCO"
+        assert b"Traceback" not in err
+        assert proc.returncode == 1
+
+    def test_one_job_imports_no_process_pool(self) -> None:
+        code = (
+            "import sys; from molstruct.cli import main; code = main(['canon']); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('concurrent', 'multiprocessing')), file=sys.stderr); sys.exit(code)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], input=b'{"smiles": "OCC"}\n',
+            capture_output=True, env=CLI_ENV, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == b"[]\n"
+
+    def test_output_file_that_is_the_input_is_refused(self, tmp_path, capsys) -> None:
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"smiles": "OCC"}\n')
+        assert main(["canon", "--input", str(path), "--output", str(path)]) == 2
+        assert "is the input file" in capsys.readouterr().err
+        assert path.read_text() == '{"smiles": "OCC"}\n'

@@ -318,6 +318,16 @@ class TestAggregateComparison:
         assert report.morgan_similarity_mean == 1.0
         assert report.validity == 1.0
 
+    def test_aggregates_read_an_iterator_in_one_pass(self) -> None:
+        pairs = [("CCO", "OCC"), ("c1ccccc1O", "Oc1ccccc1C"), ("CCN", "CC((("), ("CC", "CCC")]
+        records = [compare_pair(gold, predicted) for gold, predicted in pairs]
+        assert aggregate_comparison(iter(records)) == aggregate_comparison(records)
+        scores = [score_reasoning(parse_strict(gold), from_profile(extract_profile(
+            parse_strict(predicted)))) for gold, predicted in pairs[:2]]
+        assert aggregate_accuracy(iter(scores), n_records=3) == aggregate_accuracy(
+            scores, n_records=3
+        )
+
     def test_to_dict_shape(self) -> None:
         payload = aggregate_comparison([compare_pair("C", "C")]).to_dict()
         assert set(payload) == {
