@@ -17,9 +17,9 @@ time as the work needs them, each decoded as UTF-8 on its own; blank
 lines are skipped.  At ``--jobs 1`` every record runs inline, and
 analyze, canon and select write and flush its output line before the
 next input line is read.  At ``--jobs N`` the lines go to a pool of N
-processes in chunks of _CHUNK_RECORDS, at most _WINDOW_CHUNKS_PER_JOB * N
-chunks in flight, and the output lines of the oldest chunk are written
-as soon as it finishes.  score and compare fold each result into
+processes in chunks of at most _MAX_CHUNK_RECORDS, with at most
+_WINDOW_CHUNKS_PER_JOB * N chunks in flight, and the output lines of the
+oldest chunk are written as soon as it finishes.  score and compare fold each result into
 running sums and write their one report at the end.  So memory stays
 flat however long the input is.
 
@@ -29,7 +29,7 @@ Per-record failures never abort a run: the output record carries an
 warning on stderr, N counting non-blank lines.  A line that is not
 valid UTF-8 is a "BadRecord".  As a last resort an unexpected exception
 fails only its own record, with the code "Internal" and the message
-"<Type>: <text>".  Exit 0 means every record was clean and exit 1 that
+"<Type>: <text>", and its traceback goes to stderr.  Exit 0 means every record was clean and exit 1 that
 at least one failed or was skipped; exit 2 means the invocation itself
 was unusable (bad flags, unreadable files, malformed catalog, an output
 file that is the input file).  When the reader of the output goes away,
@@ -71,13 +71,15 @@ from .rationale import (
 from .selection import select
 from .smiles import ParseDiagnostic, canonicalize, parse
 
-_CHUNK_RECORDS = 32
-"""Records per pool task at ``--jobs N``."""
-
+# Chunks in flight per worker process: enough that every worker stays busy
+# while the oldest chunk's lines are written.
 _WINDOW_CHUNKS_PER_JOB = 4
-"""Chunks in flight per worker process: enough that every worker stays
-busy while the oldest chunk's lines are written, few enough that memory
-does not grow with the input."""
+# At --jobs N a chunk holds the records read so far divided by the window,
+# so that a short input of slow records still spreads over every worker.
+# It grows to this cap, where the pool's cost per chunk (about 0.3 ms of
+# the main process) is small against the work, and where the records in
+# flight stay few however long the input is.
+_MAX_CHUNK_RECORDS = 64
 
 
 def _error_code(exc: MolstructError) -> str:
@@ -244,6 +246,8 @@ def _internal_warning(message: str) -> str:
     return f"internal error: {message}"
 
 
+# Per subcommand: the record worker, and what an unexpected exception in it
+# turns into (an output record, or a skipped-record warning).
 _SUBCOMMANDS: dict[str, tuple[Callable, Callable[[str], object]]] = {
     "analyze": (_analyze_record, _internal_record),
     "canon": (_canon_record, _internal_record),
@@ -251,17 +255,19 @@ _SUBCOMMANDS: dict[str, tuple[Callable, Callable[[str], object]]] = {
     "score": (_score_record, _internal_warning),
     "compare": (_compare_record, _internal_warning),
 }
-"""Per subcommand: the record worker, and what an unexpected exception
-in it turns into (an output record, or a skipped-record warning)."""
 
 
 def _guarded(
     worker: Callable, on_internal: Callable[[str], object], config: _JobConfig, line: str | bytes
 ) -> object:
-    """Run one record's worker; an exception it did not handle fails only this record."""
+    """Run one record's worker; an exception it did not handle fails only
+    this record, with its traceback on stderr."""
     try:
         return worker(config, line)
     except Exception as exc:  # last resort: one bad record must not end the run
+        import traceback  # only a failing record pays for the import
+
+        traceback.print_exc()
         return on_internal(f"{type(exc).__name__}: {exc}")
 
 
@@ -294,11 +300,15 @@ def _results(task: Callable, lines: Iterator, jobs: int) -> Iterator:
     from concurrent.futures import ProcessPoolExecutor
 
     window: deque = deque()
+    window_size = _WINDOW_CHUNKS_PER_JOB * jobs
+    read, size = 0, 1
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         try:
-            while chunk := list(islice(lines, _CHUNK_RECORDS)):
+            while chunk := list(islice(lines, size)):
+                read += len(chunk)
+                size = max(1, min(_MAX_CHUNK_RECORDS, read // window_size))
                 window.append(pool.submit(_run_chunk, task, chunk))
-                if len(window) == _WINDOW_CHUNKS_PER_JOB * jobs:
+                if len(window) == window_size:
                     yield from window.popleft().result()
             while window:
                 yield from window.popleft().result()
