@@ -19,7 +19,7 @@ analyze, canon and select write and flush its output line before the
 next input line is read.  At ``--jobs N`` the lines go to a pool of N
 processes in chunks of at most _MAX_CHUNK_RECORDS, with at most
 _WINDOW_CHUNKS_PER_JOB * N chunks in flight, and the output lines of the
-oldest chunk are written as soon as it finishes.  score and compare fold each result into
+oldest chunk are written once it has finished.  score and compare fold each result into
 running sums and write their one report at the end.  So memory stays
 flat however long the input is.
 
@@ -308,7 +308,7 @@ def _results(task: Callable, lines: Iterator, jobs: int) -> Iterator:
                 read += len(chunk)
                 size = max(1, min(_MAX_CHUNK_RECORDS, read // window_size))
                 window.append(pool.submit(_run_chunk, task, chunk))
-                if len(window) == window_size:
+                while window and (len(window) == window_size or window[0].done()):
                     yield from window.popleft().result()
             while window:
                 yield from window.popleft().result()
