@@ -18,10 +18,10 @@ lines are skipped.  At ``--jobs 1`` every record runs inline, and
 analyze, canon and select write and flush its output line before the
 next input line is read.  At ``--jobs N`` the lines go to a pool of N
 processes in chunks of at most _MAX_CHUNK_RECORDS, with at most
-_WINDOW_CHUNKS_PER_JOB * N chunks in flight, and the output lines of the
-oldest chunk are written once it has finished.  score and compare fold each result into
-running sums and write their one report at the end.  So memory stays
-flat however long the input is.
+_WINDOW_CHUNKS_PER_JOB * N chunks in flight, and the output lines of
+the oldest chunk are written once it has finished.  score and compare
+fold each result into running sums and write their one report at the
+end.  So memory stays flat however long the input is.
 
 Per-record failures never abort a run: the output record carries an
 "error" code ("UnclosedRing", "BadRecord", "RationaleParse", ...) and a
@@ -29,12 +29,13 @@ Per-record failures never abort a run: the output record carries an
 warning on stderr, N counting non-blank lines.  A line that is not
 valid UTF-8 is a "BadRecord".  As a last resort an unexpected exception
 fails only its own record, with the code "Internal" and the message
-"<Type>: <text>", and its traceback goes to stderr.  Exit 0 means every record was clean and exit 1 that
-at least one failed or was skipped; exit 2 means the invocation itself
-was unusable (bad flags, unreadable files, malformed catalog, an output
-file that is the input file).  When the reader of the output goes away,
-as in ``molstruct analyze ... | head -1``, the run stops reading,
-cancels the pool work not yet started and exits 1 without a traceback.
+"<Type>: <text>", and its traceback goes to stderr.  Exit 0 means every
+record was clean and exit 1 that at least one failed or was skipped;
+exit 2 means the invocation itself was unusable (bad flags, unreadable
+files, malformed catalog, an output file that is the input file).  When
+the reader of the output goes away, as in
+``molstruct analyze ... | head -1``, the run stops reading, cancels the
+pool work not yet started and exits 1 without a traceback.
 """
 
 from __future__ import annotations
