@@ -4,7 +4,9 @@ Functional groups are found by matching small acyclic patterns written in a
 compact bracket notation, then dropping matches whose atoms are wholly
 contained in a stronger match (precedence suppression): a carboxylic acid
 claims its hydroxyl, an ester claims its ether oxygen, an amide claims its
-amine nitrogen, a phenol claims its hydroxyl.
+amine nitrogen, a phenol claims its hydroxyl.  Each pattern is matched from
+its rarest atom, tried only on molecule atoms of a fitting element, and a
+pattern with an element the molecule lacks is skipped.
 
 Rings are named by exact shape: the cyclic sequence of element symbols and
 bond orders, rotation- and reflection-invariant, plus the aromatic flag.
@@ -36,6 +38,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
@@ -115,14 +119,20 @@ _BOND_ORDERS: dict[str | None, frozenset[BondOrder]] = {
 
 # An atom test: does atom idx of the molecule satisfy one alternative?
 _AtomTest = Callable[[Molecule, int], bool]
+# The (element, aromatic) pairs an atom test can accept; None when it can
+# accept any element.
+_Keys = frozenset[tuple[str, bool]] | None
+
+_NUMBER_TO_SYMBOL = {number: symbol for symbol, number in SYMBOL_TO_NUMBER.items()}
+_HALOGEN_KEYS = frozenset((symbol, False) for symbol in HALOGENS)
 
 
-def _element(symbol: str, aromatic: bool) -> _AtomTest:
+def _element(symbol: str, aromatic: bool) -> tuple[_AtomTest, _Keys]:
     def test(mol: Molecule, idx: int) -> bool:
         atom = mol.atoms[idx]
         return atom.element == symbol and atom.is_aromatic == aromatic
 
-    return test
+    return test, frozenset({(symbol, aromatic)})
 
 
 def _any_atom(mol: Molecule, idx: int) -> bool:
@@ -132,6 +142,7 @@ def _any_atom(mol: Molecule, idx: int) -> bool:
 @dataclass(frozen=True, slots=True)
 class _PatternAtom:
     terms: tuple[tuple[_AtomTest, ...], ...]
+    keys: _Keys  # a matching atom's (element, aromatic) is one of these
     is_halogen_slot: bool = False
 
     def matches(self, mol: Molecule, idx: int) -> bool:
@@ -154,28 +165,34 @@ class _PatternEdge:
 
 @dataclass(frozen=True, slots=True)
 class GroupPattern:
-    """A compiled functional-group pattern."""
+    """A compiled functional-group pattern, rooted on its rarest atom.
+
+    ``atoms`` are in search order: ``atoms[0]`` is the root, and
+    ``edges[k-1]`` joins atom k to its parent, an earlier atom.
+    ``halogen_slot`` is the atom whose element fills ``{X}`` in the name.
+    ``required`` holds the keys of each keyed atom: a molecule without one
+    key of each has no match.
+    """
 
     name: str
     precedence: int
     atoms: tuple[_PatternAtom, ...]
-    edges: tuple[_PatternEdge, ...]  # edges[k-1] joins atom k to its parent
-
-    @property
-    def needs_element_note(self) -> bool:
-        return "{X}" in self.name
+    edges: tuple[_PatternEdge, ...]
+    halogen_slot: int | None
+    required: tuple[frozenset[tuple[str, bool]], ...]
 
 
-def _parse_alt(text: str) -> _AtomTest:
-    """The atom test of one alternative inside a constraint term."""
+def _parse_alt(text: str) -> tuple[_AtomTest, _Keys]:
+    """The atom test of one alternative inside a constraint term, and its keys."""
     if text == "a":
-        return lambda mol, idx: mol.atoms[idx].is_aromatic
+        return (lambda mol, idx: mol.atoms[idx].is_aromatic), None
     if text == "A":
-        return lambda mol, idx: not mol.atoms[idx].is_aromatic
+        return (lambda mol, idx: not mol.atoms[idx].is_aromatic), None
     if text == "X":
-        return lambda mol, idx: (
-            mol.atoms[idx].element in HALOGENS and not mol.atoms[idx].is_aromatic
-        )
+        return (
+            lambda mol, idx: mol.atoms[idx].element in HALOGENS
+            and not mol.atoms[idx].is_aromatic
+        ), _HALOGEN_KEYS
     match = _ALT_RE.match(text)
     if match is None:
         raise CatalogError(f"bad constraint alternative {text!r}")
@@ -188,25 +205,77 @@ def _parse_alt(text: str) -> _AtomTest:
         return _element(match.group("arom").capitalize(), True)
     if match.group("num"):
         number = int(match.group("num"))
-        return lambda mol, idx: mol.atoms[idx].atomic_number == number
+        symbol = _NUMBER_TO_SYMBOL.get(number)
+        keys = frozenset() if symbol is None else frozenset({(symbol, False), (symbol, True)})
+        return (lambda mol, idx: mol.atoms[idx].atomic_number == number), keys
     if match.group("hcount"):
         hcount = int(match.group("hcount"))
-        return lambda mol, idx: mol.atoms[idx].total_h == hcount
+        return (lambda mol, idx: mol.atoms[idx].total_h == hcount), None
     if match.group("degree"):
         degree = int(match.group("degree"))
-        return lambda mol, idx: mol.heavy_degree(idx) == degree
+        return (lambda mol, idx: mol.heavy_degree(idx) == degree), None
     if match.group("charge"):
         charge = int(match.group("charge"))
-        return lambda mol, idx: mol.atoms[idx].charge == charge
-    return _any_atom
+        return (lambda mol, idx: mol.atoms[idx].charge == charge), None
+    return _any_atom, None
 
 
 def _parse_bracket_atom(body: str) -> _PatternAtom:
-    terms = [[alt.strip() for alt in term.split(",")] for term in body.split(";")]
-    return _PatternAtom(
-        terms=tuple(tuple(_parse_alt(alt) for alt in term) for term in terms),
-        is_halogen_slot=any("X" in term for term in terms),
-    )
+    """Terms AND together and alternatives OR, and so do their keys; a term
+    with a key-less alternative constrains no element."""
+    terms: list[tuple[_AtomTest, ...]] = []
+    keys: _Keys = None
+    is_halogen_slot = False
+    for term in body.split(";"):
+        alts = [alt.strip() for alt in term.split(",")]
+        is_halogen_slot = is_halogen_slot or "X" in alts
+        parsed = [_parse_alt(alt) for alt in alts]
+        terms.append(tuple(test for test, _ in parsed))
+        if all(alt_keys is not None for _, alt_keys in parsed):
+            term_keys = frozenset().union(*(alt_keys for _, alt_keys in parsed))
+            keys = term_keys if keys is None else keys & term_keys
+    return _PatternAtom(terms=tuple(terms), keys=keys, is_halogen_slot=is_halogen_slot)
+
+
+def _bare_atom(symbol: str, aromatic: bool) -> _PatternAtom:
+    test, keys = _element(symbol, aromatic)
+    return _PatternAtom(terms=((test,),), keys=keys)
+
+
+def _root_rank(atom: _PatternAtom) -> tuple[bool, bool, int]:
+    """Sort key of a candidate root: the rarest atoms sort first.
+
+    A keyed atom that cannot be carbon beats one that can, which beats one
+    with no keys; then fewer keys win.
+    """
+    if atom.keys is None:
+        return (True, True, 0)
+    return (False, any(symbol == "C" for symbol, _ in atom.keys), len(atom.keys))
+
+
+def _reroot(
+    atoms: list[_PatternAtom], edges: list[_PatternEdge]
+) -> tuple[list[int], list[_PatternEdge]]:
+    """Breadth-first search order from the rarest atom (the lowest index of
+    the rarest) and the parent edge of each atom after the root, numbered
+    in that order."""
+    root = min(range(len(atoms)), key=lambda k: (_root_rank(atoms[k]), k))
+    neighbours: list[list[tuple[int, frozenset[BondOrder]]]] = [[] for _ in atoms]
+    for edge in edges:
+        neighbours[edge.parent].append((edge.child, edge.orders))
+        neighbours[edge.child].append((edge.parent, edge.orders))
+    order = [root]
+    position = {root: 0}
+    parent_edges: list[_PatternEdge] = []
+    for old in order:
+        for other, orders in neighbours[old]:
+            if other not in position:
+                position[other] = len(order)
+                parent_edges.append(
+                    _PatternEdge(parent=position[old], child=len(order), orders=orders)
+                )
+                order.append(other)
+    return order, parent_edges
 
 
 def compile_pattern(name: str, text: str, precedence: int) -> GroupPattern:
@@ -217,7 +286,7 @@ def compile_pattern(name: str, text: str, precedence: int) -> GroupPattern:
     """
     atoms: list[_PatternAtom] = []
     edges: list[_PatternEdge] = []
-    halogen_slots = 0
+    halogen_slot: int | None = None
     prev: int | None = None
     pending: str | None = None
     stack: list[int] = []
@@ -232,16 +301,16 @@ def compile_pattern(name: str, text: str, precedence: int) -> GroupPattern:
             atom = _parse_bracket_atom(text[i + 1 : end])
             i = end + 1
         elif text.startswith(_BARE_TWO, i):
-            atom = _PatternAtom(terms=((_element(text[i : i + 2], False),),))
+            atom = _bare_atom(text[i : i + 2], False)
             i += 2
         elif ch in _BARE_ONE:
-            atom = _PatternAtom(terms=((_element(ch, False),),))
+            atom = _bare_atom(ch, False)
             i += 1
         elif ch in _BARE_AROMATIC:
-            atom = _PatternAtom(terms=((_element(ch.capitalize(), True),),))
+            atom = _bare_atom(ch.capitalize(), True)
             i += 1
         elif ch == "*":
-            atom = _PatternAtom(terms=((_any_atom,),))
+            atom = _PatternAtom(terms=((_any_atom,),), keys=None)
             i += 1
         elif ch in _BOND_ORDERS:
             if pending is not None or prev is None:
@@ -265,8 +334,8 @@ def compile_pattern(name: str, text: str, precedence: int) -> GroupPattern:
             raise CatalogError(f"unexpected character {ch!r} in pattern {text!r}")
 
         idx = len(atoms)
-        if atom.is_halogen_slot:
-            halogen_slots += 1
+        if atom.is_halogen_slot and halogen_slot is None:
+            halogen_slot = idx
         atoms.append(atom)
         if prev is not None:
             edges.append(_PatternEdge(parent=prev, child=idx, orders=_BOND_ORDERS[pending]))
@@ -279,9 +348,19 @@ def compile_pattern(name: str, text: str, precedence: int) -> GroupPattern:
         raise CatalogError(f"dangling bond in pattern {text!r}")
     if not atoms:
         raise CatalogError("empty pattern")
-    if "{X}" in name and halogen_slots == 0:
+    if "{X}" not in name:
+        halogen_slot = None
+    elif halogen_slot is None:
         raise CatalogError(f"name {name!r} wants an element note but pattern has no X slot")
-    return GroupPattern(name=name, precedence=precedence, atoms=tuple(atoms), edges=tuple(edges))
+    order, parent_edges = _reroot(atoms, edges)
+    return GroupPattern(
+        name=name,
+        precedence=precedence,
+        atoms=tuple(atoms[old] for old in order),
+        edges=tuple(parent_edges),
+        halogen_slot=None if halogen_slot is None else order.index(halogen_slot),
+        required=tuple(dict.fromkeys(atom.keys for atom in atoms if atom.keys is not None)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -297,23 +376,25 @@ class GroupMatch:
     atoms: frozenset[int]
 
 
-def _embeddings(mol: Molecule, pattern: GroupPattern) -> list[tuple[int, ...]]:
-    """All injective embeddings of the pattern tree into the molecule."""
+def _embeddings(mol: Molecule, pattern: GroupPattern, roots: list[int]) -> list[tuple[int, ...]]:
+    """All injective embeddings of the pattern tree whose root is in ``roots``."""
     nodes = pattern.atoms
-    parent_edge: dict[int, _PatternEdge] = {e.child: e for e in pattern.edges}
+    edges = pattern.edges
+    size = len(nodes)
     results: list[tuple[int, ...]] = []
-    assign: list[int] = [-1] * len(nodes)
+    assign: list[int] = [-1] * size
     used: set[int] = set()
 
     def backtrack(k: int) -> None:
-        if k == len(nodes):
+        if k == size:
             results.append(tuple(assign))
             return
-        edge = parent_edge[k]
+        edge = edges[k - 1]
+        node = nodes[k]
         for j, bond in mol.bonds_of(assign[edge.parent]):
             if j in used or bond.order not in edge.orders:
                 continue
-            if not nodes[k].matches(mol, j):
+            if not node.matches(mol, j):
                 continue
             assign[k] = j
             used.add(j)
@@ -321,8 +402,9 @@ def _embeddings(mol: Molecule, pattern: GroupPattern) -> list[tuple[int, ...]]:
             used.discard(j)
             assign[k] = -1
 
-    for i in range(len(mol.atoms)):
-        if not nodes[0].matches(mol, i):
+    root = nodes[0]
+    for i in roots:
+        if not root.matches(mol, i):
             continue
         assign[0] = i
         used.add(i)
@@ -447,32 +529,41 @@ def find_groups(mol: Molecule, catalog: Catalog | None = None) -> list[GroupMatc
 
     A match is suppressed when its atom set is a subset of a strictly
     stronger (numerically lower precedence) match's atom set.  Matches of
-    one pattern on the same atom set are counted once.
+    one pattern on the same atom set are counted once.  Survivors come in
+    precedence order.
     """
     catalog = catalog or Catalog.default()
+    index: dict[tuple[str, bool], list[int]] = {}
+    for i, atom in enumerate(mol.atoms):
+        index.setdefault((atom.element, atom.is_aromatic), []).append(i)
+    everything = range(len(mol.atoms))
     raw: list[GroupMatch] = []
-    seen: set[tuple[int, frozenset[int]]] = set()
-    for pid, pattern in enumerate(catalog.groups):
-        for assign in _embeddings(mol, pattern):
+    for pattern in catalog.groups:
+        if any(keys.isdisjoint(index) for keys in pattern.required):
+            continue
+        root_keys = pattern.atoms[0].keys
+        roots = everything if root_keys is None else sorted(
+            i for key in root_keys for i in index.get(key, ())
+        )
+        seen: set[frozenset[int]] = set()
+        for assign in _embeddings(mol, pattern, roots):
             atom_set = frozenset(assign)
-            if (pid, atom_set) in seen:
+            if atom_set in seen:
                 continue
-            seen.add((pid, atom_set))
+            seen.add(atom_set)
             name = pattern.name
-            if pattern.needs_element_note:
-                slot = next(
-                    k for k, node in enumerate(pattern.atoms) if node.is_halogen_slot
-                )
-                name = name.replace("{X}", mol.atoms[assign[slot]].element)
+            if pattern.halogen_slot is not None:
+                name = name.replace("{X}", mol.atoms[assign[pattern.halogen_slot]].element)
             raw.append(GroupMatch(name=name, precedence=pattern.precedence, atoms=atom_set))
 
+    # A match with a stronger superset also has a surviving one (the
+    # strongest superset survives), so only survivors need comparing.
     survivors: list[GroupMatch] = []
-    for match in raw:
-        suppressed = any(
-            other.precedence < match.precedence and match.atoms <= other.atoms
-            for other in raw
-        )
-        if not suppressed:
+    stronger = 0  # survivors[:stronger] outrank the current match
+    for match in sorted(raw, key=attrgetter("precedence")):
+        if survivors and survivors[-1].precedence < match.precedence:
+            stronger = len(survivors)
+        if not any(match.atoms <= other.atoms for other in islice(survivors, stronger)):
             survivors.append(match)
     return survivors
 
@@ -488,5 +579,6 @@ def ring_compound_names(mol: Molecule, catalog: Catalog | None = None) -> Counte
     assert mol.rings is not None, "rings must be perceived first"
     names: Counter[str] = Counter()
     for ring in mol.rings:
-        names[catalog.rings.get(ring_key(mol, ring), generic_ring_name(mol, ring))] += 1
+        name = catalog.rings.get(ring_key(mol, ring))
+        names[generic_ring_name(mol, ring) if name is None else name] += 1
     return names

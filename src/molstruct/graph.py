@@ -281,8 +281,9 @@ def _canonical_cycle(atoms: list[int]) -> tuple[int, ...]:
     n = len(atoms)
     best: tuple[int, ...] | None = None
     doubled = atoms + atoms
+    low = min(atoms)
     for start in range(n):
-        if atoms[start] != min(atoms):
+        if atoms[start] != low:
             continue
         forward = tuple(doubled[start : start + n])
         backward = tuple(reversed(doubled[start + 1 : start + n + 1]))

@@ -6,7 +6,13 @@ from collections import Counter
 
 import pytest
 
-from molstruct.catalog import Catalog, functional_group_names, ring_compound_names
+from molstruct import random_equivalent
+from molstruct.catalog import (
+    DEFAULT_CATALOG_TEXT,
+    Catalog,
+    functional_group_names,
+    ring_compound_names,
+)
 from molstruct.errors import CatalogError
 from molstruct.smiles import parse_strict
 
@@ -219,6 +225,7 @@ class TestCatalogConfig:
             "bogus | x | y | 1\n",
             "group | bad | [Q] | 1\n",
             "ring | notring | CCC\n",
+            "ring | unclosed | C1CC\n",
             "group | badprec | C | zero\n",
         ],
     )
@@ -320,3 +327,93 @@ class TestPatternNotation:
     def test_malformed_pattern_rejected(self, line: str, message: str) -> None:
         with pytest.raises(CatalogError, match=message):
             Catalog.from_text(line + "\n")
+
+
+# Each multi-atom default pattern written from other atoms.  The root is the
+# rarest atom that comes first in the text, so each spelling moves it.
+RESPELLED_PATTERNS = {
+    "carboxylic acid": ("O=[C;A][O;H1;D1]", "[O;H1;D1][C;A]=O"),
+    "sulfonic acid": ("O=[S;A](=O)[O;H1;D1]", "[O;H1;D1][S;A](=O)=O"),
+    "phosphate": ("O=[P;A]([O;A])([O;A])[O;A]", "[O;A][P;A](=O)([O;A])[O;A]"),
+    "ester": ("O=[C;A][O;H0;D2][#6]", "[#6][O;H0;D2][C;A]=O"),
+    "amide": ("O=[C;A][N;+0]", "[N;+0][C;A]=O"),
+    "nitro": ("O=[N;+1][O;-1]", "[O;-1][N;+1]=O"),
+    "aldehyde": ("O=[C;A;H1,H2]", "O=[C;A;H1,H2]"),
+    "ketone": ("O=[C;A;H0]([#6])[#6]", "[C;A;H0](=O)([#6])[#6]"),
+    "nitrile": ("[N;A]#[C;A]", "[N;A]#[C;A]"),
+    "phenol": ("c[O;H1;D1]", "c[O;H1;D1]"),
+    "ether": ("[O;H0;D2]([#6])[#6]", "[O;H0;D2]([#6])[#6]"),
+    "sulfide": ("[S;A;H0;D2]([#6])[#6]", "[S;A;H0;D2]([#6])[#6]"),
+    "halide ({X})": ("[#6][X;D1]", "[#6][X;D1]"),
+}
+
+
+def respelled_catalog(which: int) -> Catalog:
+    """The default catalog with spelling ``which`` of each respelled pattern."""
+    lines = []
+    for line in DEFAULT_CATALOG_TEXT.splitlines():
+        parts = [part.strip() for part in line.split("|")]
+        if parts[0] == "group" and parts[1] in RESPELLED_PATTERNS:
+            parts[2] = RESPELLED_PATTERNS[parts[1]][which]
+            line = " | ".join(parts)
+        lines.append(line)
+    return Catalog.from_text("\n".join(lines))
+
+
+class TestAnchoredMatching:
+    """Matching starts from each pattern's rarest atom and skips patterns
+    whose elements are absent; counts must not depend on either."""
+
+    @pytest.mark.parametrize(
+        "pattern,smiles,count",
+        [
+            # element and aromatic alternatives key one (element, aromatic)
+            ("[O]", "Cc1ccoc1CO", 1),
+            ("[o]", "Cc1ccoc1CO", 1),
+            # an atomic number keys its element in both forms
+            ("[#6]", "Cc1ccoc1CO", 6),
+            ("[#8]C", "Cc1ccoc1CO", 1),
+            ("[#8]c", "Cc1ccoc1CO", 2),
+            # an unknown atomic number keys nothing and matches nothing
+            ("[#200]", "Cc1ccoc1CO", 0),
+            ("C[#200,O]", "CCO", 1),
+            # X keys the aliphatic halogens only
+            ("[X]", "FC(Cl)c1ccc(Br)cc1I", 4),
+            ("[X]c", "FC(Cl)c1ccc(Br)cc1I", 2),
+            # a term's keys are the union of its alternatives' keys ...
+            ("[O,N]", "CC(=O)NC", 2),
+            ("[O,n]", "Oc1ccncc1", 2),
+            ("[C,n;D2]", "Oc1ccncc1", 1),
+            # ... and an atom's keys the intersection over its terms
+            ("[#6;c]", "Cc1ccoc1CO", 4),
+            ("[#6,O;O,N]", "Cc1ccoc1CO", 1),
+            ("[c;A]", "Cc1ccoc1CO", 0),
+            # a, A, H, D, charge and * give no keys: any atom may match
+            ("[a;H1]", "Oc1ccncc1", 4),
+            ("[A;H1]", "Oc1ccncc1", 1),
+            ("[*;D4]", "CC(C)(C)C", 1),
+            ("[+1]", "C[N+](=O)[O-]", 1),
+            ("[-1]~[+1]=O", "C[N+](=O)[O-]", 1),
+            ("[a;H1]:[a;H1]", "Oc1ccncc1", 2),
+        ],
+    )
+    def test_keys_of_each_alternative(self, pattern: str, smiles: str, count: int) -> None:
+        assert pattern_matches(pattern, smiles) == count
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_groups_do_not_depend_on_the_root(self, corpus: list[str], which: int) -> None:
+        catalog = respelled_catalog(which)
+        for index, smiles in enumerate(corpus):
+            mol = parse_strict(smiles)
+            spellings = [smiles] + [random_equivalent(mol, index * 1000 + k) for k in range(2)]
+            for spelling in spellings:
+                respelled = parse_strict(spelling)
+                assert functional_group_names(respelled, catalog) == (
+                    functional_group_names(respelled)
+                ), spelling
+
+    def test_readme_halide_names_each_halogen(self) -> None:
+        catalog = Catalog.from_text("group | halide ({X}) | [#6][X] | 21\n")
+        assert groups("ClCC(Br)F", catalog) == Counter(
+            {"halide (Cl)": 1, "halide (Br)": 1, "halide (F)": 1}
+        )
