@@ -170,8 +170,6 @@ class GroupPattern:
     ``atoms`` are in search order: ``atoms[0]`` is the root, and
     ``edges[k-1]`` joins atom k to its parent, an earlier atom.
     ``halogen_slot`` is the atom whose element fills ``{X}`` in the name.
-    ``required`` holds the keys of each keyed atom: a molecule without one
-    key of each has no match.
     """
 
     name: str
@@ -179,7 +177,6 @@ class GroupPattern:
     atoms: tuple[_PatternAtom, ...]
     edges: tuple[_PatternEdge, ...]
     halogen_slot: int | None
-    required: tuple[frozenset[tuple[str, bool]], ...]
 
 
 def _parse_alt(text: str) -> tuple[_AtomTest, _Keys]:
@@ -359,7 +356,6 @@ def compile_pattern(name: str, text: str, precedence: int) -> GroupPattern:
         atoms=tuple(atoms[old] for old in order),
         edges=tuple(parent_edges),
         halogen_slot=None if halogen_slot is None else order.index(halogen_slot),
-        required=tuple(dict.fromkeys(atom.keys for atom in atoms if atom.keys is not None)),
     )
 
 
@@ -539,7 +535,8 @@ def find_groups(mol: Molecule, catalog: Catalog | None = None) -> list[GroupMatc
     everything = range(len(mol.atoms))
     raw: list[GroupMatch] = []
     for pattern in catalog.groups:
-        if any(keys.isdisjoint(index) for keys in pattern.required):
+        # No match without a molecule atom for each keyed pattern atom.
+        if any(node.keys is not None and node.keys.isdisjoint(index) for node in pattern.atoms):
             continue
         root_keys = pattern.atoms[0].keys
         roots = everything if root_keys is None else sorted(
