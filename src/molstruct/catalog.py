@@ -41,7 +41,7 @@ from functools import lru_cache
 from itertools import islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .elements import SYMBOL_TO_NUMBER
 from .errors import CatalogError
@@ -372,7 +372,9 @@ class GroupMatch:
     atoms: frozenset[int]
 
 
-def _embeddings(mol: Molecule, pattern: GroupPattern, roots: list[int]) -> list[tuple[int, ...]]:
+def _embeddings(
+    mol: Molecule, pattern: GroupPattern, roots: Iterable[int]
+) -> list[tuple[int, ...]]:
     """All injective embeddings of the pattern tree whose root is in ``roots``."""
     nodes = pattern.atoms
     edges = pattern.edges
