@@ -400,6 +400,24 @@ class TestInvocation:
         assert code == 0
         assert records == []
 
+    def test_standard_output(self, tmp_path, capsys) -> None:
+        source = tmp_path / "in.jsonl"
+        source.write_text('{"smiles": "OCC"}\n')
+        assert main(["canon", "--input", str(source), "--output", "-"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"smiles": "OCC", "canonical_smiles": "CCO"}
+
+    def test_empty_component_list_is_usage_error(self, capsys) -> None:
+        assert main(["analyze", "--components", ","]) == 2
+        assert "component list is empty" in capsys.readouterr().err
+
+    def test_output_in_a_missing_directory(self, tmp_path, capsys) -> None:
+        source = tmp_path / "in.jsonl"
+        source.write_text('{"smiles": "C"}\n')
+        target = tmp_path / "missing" / "out.jsonl"
+        assert main(["canon", "--input", str(source), "--output", str(target)]) == 2
+        assert "cannot open output" in capsys.readouterr().err
+        assert not target.parent.exists()
+
 
 def _stream_rows(command: str, n: int) -> list[str]:
     """``n`` input lines for ``command``, a malformed one every 97th, with
@@ -440,6 +458,45 @@ def _raise_on_ccn(original):
         return original(*args, **kwargs)
 
     return wrapper
+
+
+_ETHANOL_FORMULA = "The molecular formula is C2H6O."
+
+
+class TestRecordValidation:
+    @pytest.mark.parametrize(
+        "args, record, message",
+        [
+            (["analyze"], [{"smiles": "C"}], "record must be a JSON object"),
+            (["analyze"], {"smiles": 1}, "smiles must be a string"),
+            (["canon"], {"smiles": ["C"]}, "smiles must be a string"),
+            (["select"], {"rationale": _ETHANOL_FORMULA, "candidates": "CCO"},
+             "candidates must be a list of strings"),
+            (["select"], {"rationale": None, "candidates": ["CCO"]},
+             "rationale must be a string"),
+            (["score"], {"smiles": 1, "rationale": _ETHANOL_FORMULA},
+             "smiles and rationale must be strings"),
+            (["score"], {"smiles": "CCO", "rationale": {}},
+             "smiles and rationale must be strings"),
+            (["score"], {"smiles": "CCO", "rationale": _ETHANOL_FORMULA, "iupac_name": 2},
+             "iupac_name must be a string"),
+            (["score", "--components", "aromatic_rings"],
+             {"smiles": "CCO", "rationale": _ETHANOL_FORMULA},
+             "no requested components present in the rationale"),
+            (["score"], {"smiles": "CCO", "rationale": "gibberish"},
+             "no structural components recognized (unrecognized sentence: 'gibberish')"),
+            (["compare"], {"smiles": "CCO", "predicted": 1},
+             "smiles and predicted must be strings"),
+        ],
+    )
+    def test_invalid_record_fails_alone(self, tmp_path, capsys, args, record, message) -> None:
+        text = (json.dumps(record) + "\n").encode()
+        code, output, err = run_cli_raw(tmp_path, args, text, capsys)
+        assert code == 1
+        if args[0] in ("score", "compare"):
+            assert err == f"molstruct: record 1 skipped: {message}\n"
+        else:
+            assert json.loads(output) == {"error": "BadRecord", "message": message}
 
 
 class TestStream:

@@ -6,12 +6,18 @@ import pytest
 
 from molstruct.errors import AromaticityError, ValenceError
 from molstruct.graph import (
+    Atom,
+    Bond,
     BondOrder,
     Chirality,
+    Molecule,
+    aromatic_neighbor_mean,
     assign_implicit_hydrogens,
     perceive_aromaticity,
     perceive_rings,
+    relabel,
 )
+from molstruct.profile import extract_profile
 from molstruct.smiles import parse_strict
 
 from _oracles import cyclomatic_count, ring_atoms_oracle
@@ -117,6 +123,7 @@ class TestRingPerception:
             ("c1ccc2cccc2cc1", 2, [5, 7]),
             ("C1CC2(CC2)C1", 2, [3, 4]),
             ("[Na+].[Cl-]", 0, []),
+            ("C1CC1.C1CCC1", 2, [3, 4]),
             ("c1ccc(cc1)-c1ccccc1", 2, [6, 6]),
         ],
     )
@@ -160,6 +167,8 @@ class TestAromaticity:
             ("c1ccc2cccc2cc1", 2),
             ("[O-][n+]1ccccc1", 1),
             ("Cn1cccc1", 1),
+            ("[cH-]1cccc1", 1),
+            ("[Fe]1C=CC=C1", 0),
             ("C1CCCCC1", 0),
             ("C1=CCCCC1", 0),
             ("C1=CC=CC1", 0),
@@ -179,6 +188,7 @@ class TestAromaticity:
             "c1cccc1",       # cyclopentadienyl cation-like: no donor
             "C[nH]C",        # aromatic atom outside any ring
             "c1ccccc1c",     # trailing aromatic atom not in a ring
+            "[cH2]1ccccc1",  # aromatic atom with no bonding slot left
         ],
     )
     def test_false_aromatic_claims_rejected(self, smiles: str) -> None:
@@ -195,6 +205,18 @@ class TestAromaticity:
             assert [x.is_aromatic for x in ma.atoms] == [True] * len(ma.atoms)
             assert [x.is_aromatic for x in mb.atoms] == [True] * len(mb.atoms)
             assert all(bond.order is BondOrder.AROMATIC for bond in mb.bonds)
+
+    def test_rings_perceived_on_demand(self) -> None:
+        orders = [BondOrder.SINGLE, BondOrder.DOUBLE] * 3
+        bonds = [Bond(i, (i + 1) % 6, orders[i]) for i in range(6)]
+        mol = assign_implicit_hydrogens(Molecule([Atom("C") for _ in range(6)], bonds))
+        perceive_aromaticity(mol)
+        assert [ring.aromatic for ring in mol.rings] == [True]
+        assert all(bond.order is BondOrder.AROMATIC for bond in mol.bonds)
+
+    def test_aromatic_neighbor_mean(self) -> None:
+        mol = parse_strict("c1ccncc1C")
+        assert [aromatic_neighbor_mean(mol, i) for i in (0, 2, 3, 6)] == [6.0, 6.5, 6.0, None]
 
     def test_exocyclic_double_does_not_count_alone(self) -> None:
         # methylenecyclohexadiene pattern stays non-aromatic
@@ -235,3 +257,41 @@ class TestMoleculeBasics:
         center = mol.atoms[1]
         assert center.chirality is Chirality.CLOCKWISE
         assert len(center.stereo_order) == 4
+
+    @pytest.mark.parametrize(
+        "bonds,message",
+        [
+            ([Bond(1, 1)], "to itself"),
+            ([Bond(0, 3)], "out of range"),
+            ([Bond(-1, 0)], "out of range"),
+            ([Bond(0, 1), Bond(2, 1), Bond(1, 0)], "duplicate bond between atoms 0 and 1"),
+        ],
+    )
+    def test_constructor_rejects_bad_bonds(self, bonds: list[Bond], message: str) -> None:
+        atoms = [Atom("C"), Atom("C"), Atom("O")]
+        with pytest.raises(ValueError, match=message):
+            Molecule(atoms, bonds)
+
+    def test_unknown_element_rejected(self) -> None:
+        with pytest.raises(ValueError, match="unknown element symbol 'Xx'"):
+            Atom("Xx")
+
+    @pytest.mark.parametrize("new_index", [[0, 0, 1], [0, 1], [1, 2, 3]])
+    def test_relabel_requires_a_permutation(self, new_index: list[int]) -> None:
+        with pytest.raises(ValueError, match="permutation"):
+            relabel(parse_strict("CCO"), new_index)
+
+    def test_bonds_of_and_neighbors_follow_insertion_order(self) -> None:
+        mol = Molecule([Atom("C"), Atom("C"), Atom("O")], [Bond(1, 2), Bond(0, 1)])
+        assert mol.neighbors(1) == [2, 0]
+        assert [(j, bond.a, bond.b) for j, bond in mol.bonds_of(1)] == [(2, 1, 2), (0, 0, 1)]
+        assert mol.bond_between(2, 1) is mol.bonds[0]
+        assert mol.bond_between(0, 2) is None
+
+    def test_profile_of_an_unperceived_molecule(self) -> None:
+        # A hand-built molecule has no hydrogens, rings or aromaticity yet;
+        # extract_profile perceives it first.
+        mol = Molecule([Atom("C"), Atom("C"), Atom("O")], [Bond(0, 1), Bond(1, 2)])
+        assert mol.rings is None
+        assert extract_profile(mol) == extract_profile(parse_strict("CCO"))
+        assert [atom.total_h for atom in mol.atoms] == [3, 2, 1]

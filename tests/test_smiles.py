@@ -9,7 +9,7 @@ from typing import Callable
 
 import pytest
 
-from molstruct.graph import Atom, Bond, Molecule, assign_implicit_hydrogens
+from molstruct.graph import Atom, Bond, Chirality, Molecule, assign_implicit_hydrogens
 from molstruct.profile import extract_profile
 from molstruct.smiles import (
     DiagnosticKind,
@@ -179,10 +179,21 @@ class TestWriter:
             ("[NH4+]", "[NH4+]"),
             ("[13CH4]", "[13CH4]"),
             ("c1cc[nH]c1", "c1cc[nH]c1"),
+            ("[SiH4]", "[SiH4]"),
+            ("c1cc[se]c1", "c1cc[se]c1"),
         ],
     )
     def test_conventional_forms(self, smiles: str, expected: str) -> None:
         assert write(parse_strict(smiles)) == expected
+
+    def test_chiral_tag_without_recorded_order_is_kept(self) -> None:
+        # A hand-built center has no source neighbor order to permute from.
+        center = Atom("C", chirality=Chirality.CLOCKWISE, bracket=True, explicit_h=1)
+        mol = Molecule(
+            [Atom("F"), center, Atom("Cl"), Atom("Br")], [Bond(0, 1), Bond(1, 2), Bond(1, 3)]
+        )
+        assign_implicit_hydrogens(mol)
+        assert write(mol) == "F[C@@H](Cl)Br"
 
     def test_kekule_input_writes_aromatic(self) -> None:
         assert write(parse_strict("C1=CC=CC=C1")) == "c1ccccc1"
