@@ -116,7 +116,6 @@ class Bond:
     b: int
     order: BondOrder = BondOrder.SINGLE
     direction: str | None = None
-    in_ring: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,7 +139,7 @@ class Molecule:
     :func:`perceive` or individually.
     """
 
-    __slots__ = ("atoms", "bonds", "rings", "_adjacency")
+    __slots__ = ("atoms", "bonds", "rings", "_adjacency", "_bond_index")
 
     def __init__(self, atoms: list[Atom], bonds: list[Bond]) -> None:
         self.atoms = atoms
@@ -148,36 +147,36 @@ class Molecule:
         self.rings: list[Ring] | None = None
         for i, atom in enumerate(atoms):
             atom.index = i
-        seen: set[tuple[int, int]] = set()
         n = len(atoms)
-        for bond in bonds:
-            if bond.a == bond.b:
-                raise ValueError(f"bond from atom {bond.a} to itself")
-            if not (0 <= bond.a < n and 0 <= bond.b < n):
-                raise ValueError(f"bond endpoint out of range: {bond.a}-{bond.b}")
-            key = (min(bond.a, bond.b), max(bond.a, bond.b))
-            if key in seen:
-                raise ValueError(f"duplicate bond between atoms {key[0]} and {key[1]}")
-            seen.add(key)
-        self._adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        # (low, high) atom pair -> position in ``bonds``.
+        self._bond_index: dict[tuple[int, int], int] = {}
+        adjacency: list[list[tuple[int, Bond]]] = [[] for _ in range(n)]
         for bi, bond in enumerate(bonds):
-            self._adjacency[bond.a].append((bond.b, bi))
-            self._adjacency[bond.b].append((bond.a, bi))
+            a, b = bond.a, bond.b
+            if a == b:
+                raise ValueError(f"bond from atom {a} to itself")
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"bond endpoint out of range: {a}-{b}")
+            key = (a, b) if a < b else (b, a)
+            if key in self._bond_index:
+                raise ValueError(f"duplicate bond between atoms {key[0]} and {key[1]}")
+            self._bond_index[key] = bi
+            adjacency[a].append((b, bond))
+            adjacency[b].append((a, bond))
+        self._adjacency = [tuple(pairs) for pairs in adjacency]
 
     def neighbors(self, idx: int) -> list[int]:
         """Atom indices bonded to ``idx`` in bond insertion order."""
         return [j for j, _ in self._adjacency[idx]]
 
-    def bonds_of(self, idx: int) -> list[tuple[int, Bond]]:
+    def bonds_of(self, idx: int) -> tuple[tuple[int, Bond], ...]:
         """(neighbor index, bond) pairs for ``idx`` in insertion order."""
-        return [(j, self.bonds[bi]) for j, bi in self._adjacency[idx]]
+        return self._adjacency[idx]
 
     def bond_between(self, i: int, j: int) -> Bond | None:
         """The bond joining ``i`` and ``j``, or None."""
-        for k, bi in self._adjacency[i]:
-            if k == j:
-                return self.bonds[bi]
-        return None
+        bi = self._bond_index.get((i, j) if i < j else (j, i))
+        return None if bi is None else self.bonds[bi]
 
     def heavy_degree(self, idx: int) -> int:
         """Number of explicit (non-hydrogen-count) neighbors."""
@@ -204,21 +203,23 @@ class Molecule:
         return out
 
 
-def _allowed_valences(atom: Atom) -> tuple[int, ...]:
-    """Allowed valences for ``atom`` after its charge shift.
+def _charge_shifted(valence: int, atom: Atom) -> int:
+    """``valence`` after ``atom``'s charge shift.
 
     Cations of the nitrogen and oxygen families gain one slot per unit of
     positive charge; anions of any element lose one per unit of negative
     charge.
     """
-    base = DEFAULT_VALENCES.get(atom.element)
-    if base is None:
-        return ()
     if atom.charge > 0 and atom.element in CATION_VALENCE_SHIFT:
-        return tuple(v + atom.charge for v in base)
+        return valence + atom.charge
     if atom.charge < 0:
-        return tuple(max(v + atom.charge, 0) for v in base)
-    return base
+        return max(valence + atom.charge, 0)
+    return valence
+
+
+def _allowed_valences(atom: Atom) -> tuple[int, ...]:
+    """Allowed valences for ``atom`` after its charge shift."""
+    return tuple(_charge_shifted(v, atom) for v in DEFAULT_VALENCES.get(atom.element, ()))
 
 
 def _sigma_valence(mol: Molecule, idx: int) -> tuple[int, bool]:
@@ -235,14 +236,29 @@ def _sigma_valence(mol: Molecule, idx: int) -> tuple[int, bool]:
     return total, has_multiple
 
 
+def _bare_hydrogens(mol: Molecule, idx: int, lowercase: bool) -> int | None:
+    """Hydrogens a reader infers for atom ``idx`` written without brackets.
+
+    The count fills the smallest allowed valence that fits the bonded
+    valence.  An atom written lowercase reserves one bonding slot for the
+    ring pi system unless it already carries a double or triple bond, or
+    no slot is left.  None when the bonded valence exceeds every allowed
+    valence.
+    """
+    sigma, has_multiple = _sigma_valence(mol, idx)
+    for valence in _allowed_valences(mol.atoms[idx]):
+        if sigma <= valence:
+            count = valence - sigma
+            return count - 1 if lowercase and not has_multiple and count >= 1 else count
+    return None
+
+
 def assign_implicit_hydrogens(mol: Molecule) -> Molecule:
     """Fill implicit hydrogen counts on plain (non-bracket) atoms.
 
     Bracket atoms keep implicit_h = 0; their hydrogens are explicit.  Plain
-    atoms receive the difference between the smallest allowed valence that
-    fits and their bonded valence.  Atoms written lowercase reserve one
-    bonding slot for the ring pi system unless they already carry a double
-    or triple bond, or no slot is left.
+    atoms receive the count of :func:`_bare_hydrogens`, lowercase as
+    written.
 
     Args:
         mol: Molecule to update in place.
@@ -258,21 +274,15 @@ def assign_implicit_hydrogens(mol: Molecule) -> Molecule:
         if atom.bracket:
             atom.implicit_h = 0
             continue
-        sigma, has_multiple = _sigma_valence(mol, atom.index)
-        for valence in _allowed_valences(atom):
-            if sigma > valence:
-                continue
-            count = valence - sigma
-            if atom.written_aromatic and not has_multiple and count >= 1:
-                count -= 1
-            atom.implicit_h = count
-            break
-        else:
+        count = _bare_hydrogens(mol, atom.index, atom.written_aromatic)
+        if count is None:
+            sigma, _ = _sigma_valence(mol, atom.index)
             raise ValenceError(
                 f"atom {atom.index} ({atom.element}) has bonded valence {sigma}, "
                 f"above every allowed valence {_allowed_valences(atom)}",
                 atom.position,
             )
+        atom.implicit_h = count
     return mol
 
 
@@ -312,7 +322,7 @@ def _shortest_path_tree(mol: Molecule, root: int) -> tuple[dict[int, int], dict[
 
 
 def perceive_rings(mol: Molecule) -> list[Ring]:
-    """Perceive the SSSR and mark ring bonds.
+    """Perceive the smallest set of smallest rings (SSSR).
 
     Candidate cycles come from every (vertex, edge) shortest-path closure
     (the Horton set); a greedy pass ordered by size then lexicographic atom
@@ -327,19 +337,15 @@ def perceive_rings(mol: Molecule) -> list[Ring]:
     """
     n_components = len(mol.components())
     cyclomatic = len(mol.bonds) - len(mol.atoms) + n_components
-    for bond in mol.bonds:
-        bond.in_ring = False
     if cyclomatic <= 0:
         mol.rings = []
         return mol.rings
-
-    bond_index = {(min(b.a, b.b), max(b.a, b.b)): i for i, b in enumerate(mol.bonds)}
 
     def edge_mask(cycle: list[int]) -> int:
         mask = 0
         for i, a in enumerate(cycle):
             b = cycle[(i + 1) % len(cycle)]
-            mask |= 1 << bond_index[(min(a, b), max(a, b))]
+            mask |= 1 << mol._bond_index[(a, b) if a < b else (b, a)]
         return mask
 
     candidates: dict[int, tuple[int, tuple[int, ...]]] = {}
@@ -384,12 +390,6 @@ def perceive_rings(mol: Molecule) -> list[Ring]:
 
     rings.sort(key=lambda r: (r.size, r.atoms))
     mol.rings = rings
-    for ring in rings:
-        for i, a in enumerate(ring.atoms):
-            b = ring.atoms[(i + 1) % ring.size]
-            bond = mol.bond_between(a, b)
-            assert bond is not None
-            bond.in_ring = True
     return rings
 
 
@@ -420,11 +420,7 @@ def _pi_contribution(mol: Molecule, idx: int, ring_atoms: frozenset[int], aromat
     base_valence = PI_VALENCE.get(atom.element)
     if outer is None or base_valence is None:
         return None
-    valence = base_valence
-    if atom.charge > 0 and atom.element in CATION_VALENCE_SHIFT:
-        valence += atom.charge
-    elif atom.charge < 0:
-        valence = max(valence + atom.charge, 0)
+    valence = _charge_shifted(base_valence, atom)
     lone = max(outer - atom.charge - valence, 0)
     degree = mol.heavy_degree(idx) + atom.total_h
     available = (valence - degree) + lone
@@ -509,25 +505,17 @@ def perceive_aromaticity(mol: Molecule) -> Molecule:
                     aromatic_atoms.update(union)
                     changed = True
 
+    in_aromatic_ring: set[int] = set()
     for rid in aromatic_ring_ids:
-        ring = rings[rid]
-        for k, a in enumerate(ring.atoms):
-            b = ring.atoms[(k + 1) % ring.size]
-            bond = mol.bond_between(a, b)
-            assert bond is not None
-            if bond.order in (BondOrder.SINGLE, BondOrder.DOUBLE, BondOrder.AROMATIC):
+        atoms = rings[rid].atoms
+        for a, b in zip(atoms, atoms[1:] + atoms[:1]):
+            in_aromatic_ring.add(mol._bond_index[(a, b) if a < b else (b, a)])
+    for bi, bond in enumerate(mol.bonds):
+        if bi in in_aromatic_ring:
+            if bond.order is not BondOrder.TRIPLE:
                 bond.order = BondOrder.AROMATIC
-    aromatic_bond_keys = {
-        (min(a, b), max(a, b))
-        for rid in aromatic_ring_ids
-        for ring in (rings[rid],)
-        for k, a in enumerate(ring.atoms)
-        for b in (ring.atoms[(k + 1) % ring.size],)
-    }
-    for bond in mol.bonds:
-        if bond.order is BondOrder.AROMATIC:
-            if (min(bond.a, bond.b), max(bond.a, bond.b)) not in aromatic_bond_keys:
-                bond.order = BondOrder.SINGLE
+        elif bond.order is BondOrder.AROMATIC:
+            bond.order = BondOrder.SINGLE
 
     for atom in mol.atoms:
         atom.is_aromatic = atom.index in aromatic_atoms

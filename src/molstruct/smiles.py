@@ -32,11 +32,8 @@ from .graph import (
     BondOrder,
     Chirality,
     Molecule,
-    _allowed_valences,
-    _sigma_valence,
-    assign_implicit_hydrogens,
-    perceive_aromaticity,
-    perceive_rings,
+    _bare_hydrogens,
+    perceive,
     relabel,
 )
 
@@ -420,12 +417,7 @@ def _parse_stripped(text: str, base: int) -> Molecule | ParseDiagnostic:
                     )
                 order = open_order if open_order is not None else close_order
                 if order is None:
-                    a, b = builder.atoms[other], builder.atoms[prev]
-                    order = (
-                        BondOrder.AROMATIC
-                        if a.written_aromatic and b.written_aromatic
-                        else BondOrder.SINGLE
-                    )
+                    order, _ = _resolve_order(None, builder.atoms[other], builder.atoms[prev])
                 if not builder.add_bond(other, prev, order, open_dir or close_dir):
                     return diag(
                         DiagnosticKind.UNCLOSED_RING,
@@ -499,16 +491,10 @@ def _parse_stripped(text: str, base: int) -> Molecule | ParseDiagnostic:
             entry if isinstance(entry, int) else H_BRANCH for entry in order
         )
 
-    molecule = Molecule(builder.atoms, builder.bonds)
     try:
-        assign_implicit_hydrogens(molecule)
-        perceive_rings(molecule)
-        perceive_aromaticity(molecule)
-    except ValenceError as exc:
+        return perceive(Molecule(builder.atoms, builder.bonds))
+    except (ValenceError, AromaticityError) as exc:
         return ParseDiagnostic(DiagnosticKind.VALENCE_VIOLATION, str(exc), max(exc.position, 0))
-    except AromaticityError as exc:
-        return ParseDiagnostic(DiagnosticKind.VALENCE_VIOLATION, str(exc), max(exc.position, 0))
-    return molecule
 
 
 def _resolve_order(
@@ -533,20 +519,6 @@ def parse_strict(text: str) -> Molecule:
 # Writing
 
 
-def _predicted_bare_h(mol: Molecule, idx: int) -> int | None:
-    """Hydrogen count a reader would infer for the atom written bare."""
-    atom = mol.atoms[idx]
-    sigma, has_multiple = _sigma_valence(mol, idx)
-    for valence in _allowed_valences(atom):
-        if sigma > valence:
-            continue
-        count = valence - sigma
-        if atom.is_aromatic and not has_multiple and count >= 1:
-            count -= 1
-        return count
-    return None
-
-
 def _needs_bracket(mol: Molecule, atom: Atom) -> bool:
     """True when the atom cannot be written as a bare organic-subset symbol.
 
@@ -560,7 +532,7 @@ def _needs_bracket(mol: Molecule, atom: Atom) -> bool:
         return True
     if atom.is_aromatic and atom.element.lower() not in AROMATIC_ORGANIC:
         return True
-    return _predicted_bare_h(mol, atom.index) != atom.total_h
+    return _bare_hydrogens(mol, atom.index, atom.is_aromatic) != atom.total_h
 
 
 def _atom_text(mol: Molecule, atom: Atom, out_stereo: Chirality) -> str:
@@ -825,17 +797,6 @@ def _refine(adjacency: list[list[tuple[int, int]]], ranks: list[int]) -> list[in
         ranks = new_ranks
         n_classes = new_classes
     return ranks
-
-
-def canonical_ranks(mol: Molecule) -> list[int]:
-    """Stable atom ranks from Morgan-style neighborhood refinement.
-
-    Ties that survive refinement are possible for symmetric graphs; the
-    canonical writer breaks them by trying each tied atom and keeping the
-    smallest output string, skipping atoms that a symmetry found on the
-    way maps onto one already tried.
-    """
-    return _refine(_bond_adjacency(mol), _dense_ranks(_initial_invariants(mol)))
 
 
 def _is_automorphism(
