@@ -544,16 +544,18 @@ def find_groups(mol: Molecule, catalog: Catalog | None = None) -> list[GroupMatc
         roots = everything if root_keys is None else sorted(
             i for key in root_keys for i in index.get(key, ())
         )
-        seen: set[frozenset[int]] = set()
+        # Each atom set counts once, named by the alphabetically smallest
+        # halogen that fills the {X} slot in any of its embeddings.
+        slot = pattern.halogen_slot
+        halogens: dict[frozenset[int], str] = {}
         for assign in _embeddings(mol, pattern, roots):
             atom_set = frozenset(assign)
-            if atom_set in seen:
-                continue
-            seen.add(atom_set)
-            name = pattern.name
-            if pattern.halogen_slot is not None:
-                name = name.replace("{X}", mol.atoms[assign[pattern.halogen_slot]].element)
-            raw.append(GroupMatch(name=name, precedence=pattern.precedence, atoms=atom_set))
+            symbol = "" if slot is None else mol.atoms[assign[slot]].element
+            halogens[atom_set] = min(symbol, halogens.get(atom_set, symbol))
+        raw.extend(
+            GroupMatch(pattern.name.replace("{X}", symbol), pattern.precedence, atom_set)
+            for atom_set, symbol in halogens.items()
+        )
 
     # A match with a stronger superset also has a surviving one (the
     # strongest superset survives), so only survivors need comparing.

@@ -417,3 +417,11 @@ class TestAnchoredMatching:
         assert groups("ClCC(Br)F", catalog) == Counter(
             {"halide (Cl)": 1, "halide (Br)": 1, "halide (F)": 1}
         )
+
+    @pytest.mark.parametrize("smiles", ["ClBr", "BrCl", "FI", "IF", "ClF", "FCl"])
+    def test_halogen_name_does_not_depend_on_the_spelling(self, smiles: str) -> None:
+        # Both atoms of a dihalogen fit the X slot; the name takes the
+        # alphabetically smallest halogen symbol.
+        catalog = Catalog.from_text("group | h ({X}) | [X]* | 1\n")
+        expected = min(atom.element for atom in parse_strict(smiles).atoms)
+        assert groups(smiles, catalog) == Counter({f"h ({expected})": 1})
