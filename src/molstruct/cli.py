@@ -53,6 +53,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .catalog import Catalog
 from .errors import MolstructError
+from .graph import Molecule
 from .metrics import (
     ComparisonRecord,
     aggregate_accuracy,
@@ -132,7 +133,8 @@ def _diagnostic_record(smiles: str, diagnostic: ParseDiagnostic) -> dict:
     }
 
 
-def _analyze_record(config: _JobConfig, line: str) -> dict:
+def _smiles_record(line: str) -> tuple[str, Molecule] | dict:
+    """A ``{"smiles": s}`` record's text and molecule, or its error record."""
     record = _parse_record(line, ("smiles",))
     if isinstance(record, str):
         return {"error": "BadRecord", "message": record}
@@ -142,20 +144,23 @@ def _analyze_record(config: _JobConfig, line: str) -> dict:
     molecule = parse(smiles)
     if isinstance(molecule, ParseDiagnostic):
         return _diagnostic_record(smiles, molecule)
+    return smiles, molecule
+
+
+def _analyze_record(config: _JobConfig, line: str) -> dict:
+    parsed = _smiles_record(line)
+    if isinstance(parsed, dict):
+        return parsed
+    smiles, molecule = parsed
     rationale = from_profile(molecule, config.components, _load_catalog(config.catalog_path))
     return {"smiles": smiles, "rationale": render(rationale, RationaleFormat(config.format))}
 
 
 def _canon_record(config: _JobConfig, line: str) -> dict:
-    record = _parse_record(line, ("smiles",))
-    if isinstance(record, str):
-        return {"error": "BadRecord", "message": record}
-    smiles = record["smiles"]
-    if not isinstance(smiles, str):
-        return {"error": "BadRecord", "message": "smiles must be a string"}
-    molecule = parse(smiles)
-    if isinstance(molecule, ParseDiagnostic):
-        return _diagnostic_record(smiles, molecule)
+    parsed = _smiles_record(line)
+    if isinstance(parsed, dict):
+        return parsed
+    smiles, molecule = parsed
     return {"smiles": smiles, "canonical_smiles": canonicalize(molecule)}
 
 
