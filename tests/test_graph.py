@@ -123,8 +123,8 @@ class TestRingPerception:
             ("c1ccc2cccc2cc1", 2, [5, 7]),
             ("C1CC2(CC2)C1", 2, [3, 4]),
             ("[Na+].[Cl-]", 0, []),
-            ("C1CC1.C1CCC1", 2, [3, 4]),
             ("c1ccc(cc1)-c1ccccc1", 2, [6, 6]),
+            ("C1CC1.C1CCC1", 2, [3, 4]),
         ],
     )
     def test_sssr_counts_and_sizes(
