@@ -6,8 +6,12 @@ lists of the perceived SSSR rings.  The inputs are every corpus molecule
 with two random respellings, and symmetric families whose tie-break
 search is the hard case for the canonical writer: para-polyphenyls,
 isopropyl-branched chains, cycloalkanes, prismanes, acenes and
-stereo-tagged oligovalines.  A rewrite of the canonicalizer or of ring
-perception that changes any of them shows here.
+stereo-tagged oligovalines.  Long n-alkanes, PEG chains and large
+cycloalkanes are the hard case for neighbourhood refinement, which needs
+a round per few atoms of a chain; together with adamantane they also
+cover every molecule of the benchmark's ``large`` workload.  A rewrite of
+the canonicalizer or of ring perception that changes any of them shows
+here.
 
     python3 tests/test_golden_canonical.py --write   # regenerate the file
 """
@@ -74,6 +78,19 @@ def acene(n: int) -> str:
     )
 
 
+def alkane(n: int) -> str:
+    return "C" * n
+
+
+def peg(n: int) -> str:
+    """HO-(CH2CH2O)n-H."""
+    return "O" + "CCO" * n
+
+
+def adamantane(_: int) -> str:
+    return "C1C2CC3CC1CC(C2)C3"
+
+
 def oligovaline(n: int) -> str:
     """n L-valine residues written with stereo tags, as a free acid."""
     return "N[C@@H](C(C)C)C(=O)" * n + "O"
@@ -86,6 +103,10 @@ FAMILIES = (
     (prismane, range(3, 21)),
     (acene, range(2, 17)),
     (oligovaline, range(1, 9)),
+    (alkane, (8, 16, 32, 48, 64, 65, 80, 100, 500, 2000)),
+    (peg, (4, 8, 16, 32, 40, 200)),
+    (cycloalkane, (100, 200)),
+    (adamantane, (10,)),
 )
 
 
