@@ -59,6 +59,11 @@ class ComponentKind(Enum):
     MOLECULAR_WEIGHT = "molecular_weight"
     IUPAC_NAME = "iupac_name"
 
+    # Profiles and scores are dicts keyed by kind: hash by identity in C,
+    # not by name in Python as Enum does.  Output never follows hash
+    # order; every loop over kinds goes through CANONICAL_ORDER.
+    __hash__ = object.__hash__
+
 
 CANONICAL_ORDER: tuple[ComponentKind, ...] = tuple(ComponentKind)
 

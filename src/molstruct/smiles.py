@@ -619,27 +619,25 @@ def _write_component(mol: Molecule, start: int, key) -> tuple[str, list[int]]:
     children: dict[int, list[int]] = {start: []}
     closures: dict[int, list[int]] = {}
     closure_bonds: list[tuple[int, int]] = []
-    seen_edges: set[tuple[int, int]] = set()
-    visited = {start}
+    emit_rank = {start: 0}
     # Lazy depth-first walk: a neighbor still unvisited when the walk
     # returns to ``cur`` has been reached some other way, so the bond
-    # becomes a ring closure rather than a branch.
+    # becomes a ring closure rather than a branch.  A depth-first walk
+    # meets each ring bond first from its later end, while the earlier
+    # end is still open, and again from the earlier end.
     stack: list[tuple[int, list[int], int]] = [(start, sorted(mol.neighbors(start), key=key), 0)]
     while stack:
         cur, nbrs, pos = stack.pop()
         while pos < len(nbrs):
             nxt = nbrs[pos]
             pos += 1
-            edge = (min(cur, nxt), max(cur, nxt))
-            if edge in seen_edges:
+            if nxt in emit_rank:
+                if emit_rank[nxt] < emit_rank[cur] and nxt != parent[cur]:
+                    closure_bonds.append((cur, nxt))
+                    closures.setdefault(cur, []).append(nxt)
+                    closures.setdefault(nxt, []).append(cur)
                 continue
-            seen_edges.add(edge)
-            if nxt in visited:
-                closure_bonds.append((cur, nxt))
-                closures.setdefault(cur, []).append(nxt)
-                closures.setdefault(nxt, []).append(cur)
-                continue
-            visited.add(nxt)
+            emit_rank[nxt] = len(order)
             parent[nxt] = cur
             children[cur].append(nxt)
             children[nxt] = []
@@ -648,7 +646,6 @@ def _write_component(mol: Molecule, start: int, key) -> tuple[str, list[int]]:
             stack.append((nxt, sorted(mol.neighbors(nxt), key=key), 0))
             break
 
-    emit_rank = {atom: i for i, atom in enumerate(order)}
     # Assign ring-closure numbers in emission order, lowest free number first.
     digit_of: dict[tuple[int, int], int] = {}
     events: dict[int, list[tuple[int, int]]] = {}
@@ -766,37 +763,82 @@ def _bond_adjacency(mol: Molecule) -> list[list[tuple[int, int]]]:
     return [[(int(bond.order), j) for j, bond in mol.bonds_of(i)] for i in range(len(mol.atoms))]
 
 
-def _dense_ranks(keys: list) -> list[int]:
-    ordered = sorted(set(keys))
-    rank_of = {key: rank for rank, key in enumerate(ordered)}
-    return [rank_of[key] for key in keys]
+def _refine(
+    adjacency: list[list[tuple[int, int]]], keys: list, moved: list[int] | None = None
+) -> list[int]:
+    """Ranks of the stable ordered partition reached by refining ``keys``.
 
-
-def _refine(adjacency: list[list[tuple[int, int]]], ranks: list[int]) -> list[int]:
-    """Iterate neighborhood refinement of dense ranks until the partition stabilizes.
-
-    An atom alone in its class keeps the key ``(rank,)``: the rank leads
-    every key, so the new ranks are those its full key would give.
+    Atoms with equal keys start in one cell, cells in key order, and an
+    atom's rank is the start position of its cell.  Each round splits
+    every tied cell by its atoms' sorted ``(bond order, neighbor rank)``
+    pairs, the pieces taking the cell's place in key order; refinement
+    stops at a round that splits no cell.  Rounds are synchronous, but a
+    round re-keys only the atoms next to one that moved in the round
+    before, where an atom moved if it landed in any piece of a split cell
+    but the largest.  The cell's other members shared a key before and
+    saw their neighbors in a split cell all go to its largest piece, so
+    they share one still: one of them is re-keyed for all (McKay &
+    Piperno, "Practical graph isomorphism, II", 2014).  The first round
+    re-keys every atom, or only the neighbors of ``moved``, the atoms a
+    caller moved out of a stable partition.
     """
-    n = len(ranks)
-    n_classes = len(set(ranks))
-    while n_classes < n:
-        sizes = [0] * n
-        for rank in ranks:
-            sizes[rank] += 1
-        keys = [
-            (rank,)
-            if sizes[rank] == 1
-            else (rank, tuple(sorted([(order, ranks[j]) for order, j in adjacency[i]])))
-            for i, rank in enumerate(ranks)
-        ]
-        new_ranks = _dense_ranks(keys)
-        new_classes = len(set(new_ranks))
-        if new_classes == n_classes:
-            return new_ranks
-        ranks = new_ranks
-        n_classes = new_classes
-    return ranks
+    n = len(keys)
+    cell_of = [0] * n
+    starts: list[int] = []
+    members: list[set[int]] = []
+    previous = object()
+    for position, i in enumerate(sorted(range(n), key=keys.__getitem__)):
+        if keys[i] != previous:
+            previous = keys[i]
+            starts.append(position)
+            members.append(set())
+        cell_of[i] = len(starts) - 1
+        members[-1].add(i)
+
+    def key(i: int) -> tuple:
+        return tuple(sorted([(bond, starts[cell_of[j]]) for bond, j in adjacency[i]]))
+
+    touched = range(n) if moved is None else {j for i in moved for _, j in adjacency[i]}
+    while True:
+        hits: dict[int, set[int]] = {}
+        for i in touched:
+            if len(members[cell_of[i]]) > 1:
+                hits.setdefault(cell_of[i], set()).add(i)
+        splits = []
+        for cell, hit in hits.items():
+            pieces: dict[tuple, list[int]] = {}
+            for i in hit:
+                pieces.setdefault(key(i), []).append(i)
+            rest_key = None
+            if len(hit) < len(members[cell]):
+                rest_key = key(next(i for i in members[cell] if i not in hit))
+                pieces.setdefault(rest_key, [])
+            if len(pieces) > 1:
+                splits.append((cell, hit, pieces, rest_key))
+        if not splits:
+            return [starts[cell] for cell in cell_of]
+        touched = set()
+        for cell, hit, pieces, rest_key in splits:
+            size = {piece_key: len(atoms) for piece_key, atoms in pieces.items()}
+            if rest_key is not None:
+                size[rest_key] += len(members[cell]) - len(hit)
+            ordered = sorted(pieces)
+            largest = max(ordered, key=size.__getitem__)
+            position = starts[cell]
+            for piece_key in ordered:
+                if piece_key == largest:
+                    starts[cell] = position
+                else:
+                    atoms = pieces[piece_key]
+                    if piece_key == rest_key:  # smaller than a re-keyed piece
+                        atoms += [i for i in members[cell] if i not in hit]
+                    members[cell].difference_update(atoms)
+                    starts.append(position)
+                    members.append(set(atoms))
+                    for i in atoms:
+                        cell_of[i] = len(starts) - 1
+                        touched.update(j for _, j in adjacency[i])
+                position += size[piece_key]
 
 
 def _is_automorphism(
@@ -881,11 +923,10 @@ def _component_min_string(
                 if any(_orbit_root(orbits, t) == root for t in tried):
                     continue
             tried.append(candidate)
-            # Dense ranks of (rank, 0 for the candidate else 1).
-            seeded = [
-                r + (r > rank or (r == rank and i != candidate)) for i, r in enumerate(ranks)
-            ]
-            result = search(_refine(adjacency, seeded), fixed + [candidate])
+            # The candidate keeps the cell's start; the rest of its cell,
+            # in every component, moves up by one.
+            seeded = [r + (r == rank and i != candidate) for i, r in enumerate(ranks)]
+            result = search(_refine(adjacency, seeded, [candidate]), fixed + [candidate])
             if node_best is None or result[0] < node_best[0]:
                 node_best = result
         assert node_best is not None
@@ -897,7 +938,7 @@ def _component_min_string(
 def _canonical_parts(mol: Molecule) -> list[tuple[str, list[int]]]:
     adjacency = _bond_adjacency(mol)
     invariants = _initial_invariants(mol)
-    ranks = _refine(adjacency, _dense_ranks(invariants))
+    ranks = _refine(adjacency, invariants)
     parts = [
         _component_min_string(mol, comp, ranks, adjacency, invariants)
         for comp in mol.components()
@@ -911,6 +952,10 @@ def canonicalize(mol: Molecule) -> str:
 
     Atom order comes from neighborhood refinement with string-minimizing
     tie-breaks; disconnected components are sorted lexicographically.
+    A refinement round re-keys only the atoms next to one that changed
+    cell in the round before (and one atom for the rest of each cell),
+    so a chain of n atoms costs about n log n steps rather than n full
+    passes over the atoms.
     The tie-break search skips atoms in the automorphism orbit of one
     already tried, which leaves the result of the exhaustive search
     unchanged and makes each independent symmetric part cost a few

@@ -252,3 +252,38 @@ def isomorphic_oracle(a: Molecule, b: Molecule) -> bool:
         return False
 
     return extend(0)
+
+
+def _dense_ranks(keys: list) -> list[int]:
+    ordered = sorted(set(keys))
+    rank_of = {key: rank for rank, key in enumerate(ordered)}
+    return [rank_of[key] for key in keys]
+
+
+def refine_oracle(adjacency: list[list[tuple[int, int]]], keys: list) -> list[int]:
+    """Dense ranks of the stable ordered partition that refining ``keys`` reaches.
+
+    Full synchronous rounds: every atom of a tied class is re-keyed by its
+    rank and the sorted ``(bond order, neighbor rank)`` pairs of its
+    neighbors, until a round splits no class.  ``adjacency`` lists each
+    atom's ``(bond order, neighbor)`` pairs.
+    """
+    ranks = _dense_ranks(keys)
+    n = len(ranks)
+    n_classes = len(set(ranks))
+    while n_classes < n:
+        sizes = [0] * n
+        for rank in ranks:
+            sizes[rank] += 1
+        new_ranks = _dense_ranks([
+            (rank,)
+            if sizes[rank] == 1
+            else (rank, tuple(sorted([(order, ranks[j]) for order, j in adjacency[i]])))
+            for i, rank in enumerate(ranks)
+        ])
+        new_classes = len(set(new_ranks))
+        if new_classes == n_classes:
+            return new_ranks
+        ranks = new_ranks
+        n_classes = new_classes
+    return ranks

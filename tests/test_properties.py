@@ -37,6 +37,7 @@ from molstruct.smiles import (
 
 from _oracles import isomorphic_oracle, levenshtein_oracle, longest_chain_oracle
 from conftest import corpus_rows
+from test_smiles import assert_refines_like_oracle
 
 CORPUS = [row[0] for row in corpus_rows()]
 
@@ -343,6 +344,11 @@ class TestCanonicalIsomorphism:
         other = _spec_molecule(data.draw(st.sampled_from(edits)))
         same = canonicalize(other) == canonicalize(mol)
         assert same == isomorphic_oracle(other, mol), (spec.smiles(), canonicalize(other))
+
+    @given(molecule_specs())
+    @settings(max_examples=300, deadline=None)
+    def test_refinement_matches_full_rounds(self, spec: MoleculeSpec) -> None:
+        assert_refines_like_oracle(_spec_molecule(spec))
 
 
 group_name = st.from_regex(r"[a-z]{1,12}", fullmatch=True)

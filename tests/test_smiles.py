@@ -15,6 +15,9 @@ from molstruct.smiles import (
     DiagnosticKind,
     ParseDiagnostic,
     TokenKind,
+    _bond_adjacency,
+    _initial_invariants,
+    _refine,
     canonical_order,
     canonicalize,
     parse,
@@ -24,10 +27,15 @@ from molstruct.smiles import (
     write,
 )
 
+from _oracles import refine_oracle
+from conftest import corpus_rows
 from test_golden_canonical import (
+    RESPELLING_SEEDS,
+    alkane,
     cycloalkane,
     isopropyl_chain,
     oligovaline,
+    peg,
     polyphenyl,
     prismane,
 )
@@ -280,8 +288,10 @@ class TestCanonicalScaling:
             (isopropyl_chain(12), 0.15),
             (cycloalkane(200), 1.0),
             (prismane(40), 0.2),
+            (alkane(2000), 0.7),
+            (peg(200), 0.2),
         ],
-        ids=["polyphenyl-15", "isopropyl-chain-12", "cyclo-C200", "prismane-40"],
+        ids=["polyphenyl-15", "isopropyl-chain-12", "cyclo-C200", "prismane-40", "C2000", "PEG-200"],
     )
     def test_canonicalize_in_time(self, smiles: str, bound: float) -> None:
         mol = parse_strict(smiles)
@@ -322,6 +332,66 @@ SYMMETRIC_GRAPHS = {
     "shrikhande": (16, torus_graph([(0, 1), (1, 0), (1, 1), (0, 3), (3, 0), (3, 3)])),
     "rook-4x4": (16, torus_graph([(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)])),
 }
+
+
+def cells(ranks: list[int]) -> list[list[int]]:
+    """Atoms grouped by rank, the groups in rank order."""
+    by_rank: dict[int, list[int]] = {}
+    for i, rank in enumerate(ranks):
+        by_rank.setdefault(rank, []).append(i)
+    return [by_rank[rank] for rank in sorted(by_rank)]
+
+
+def assert_refines_like_oracle(mol: Molecule) -> None:
+    """``_refine`` reaches the ordered partition of full refinement rounds.
+
+    Checked from the initial invariants, after individualizing each atom
+    of the first tied cell, and down the search path that individualizes
+    the first atom of the first tied cell until no cell is tied.  An
+    individualized atom keeps its cell's rank and the rest of the cell
+    moves one up, as in the tie-break search.
+    """
+    adjacency = _bond_adjacency(mol)
+    invariants = _initial_invariants(mol)
+    ranks = _refine(adjacency, invariants)
+    assert cells(ranks) == cells(refine_oracle(adjacency, invariants))
+    first_level = True
+    while True:
+        tied = next((cell for cell in cells(ranks) if len(cell) > 1), None)
+        if tied is None:
+            return
+        rank = ranks[tied[0]]
+        refined = []
+        for candidate in tied if first_level else tied[:1]:
+            moved_up = [r + (r == rank and i != candidate) for i, r in enumerate(ranks)]
+            refined.append(_refine(adjacency, moved_up, [candidate]))
+            singled_out = [(r, i != candidate) for i, r in enumerate(ranks)]
+            assert cells(refined[-1]) == cells(refine_oracle(adjacency, singled_out)), candidate
+        ranks = refined[0]
+        first_level = False
+
+
+class TestRefinement:
+    def test_refinement_matches_full_rounds_on_corpus_and_respellings(self) -> None:
+        for row in corpus_rows():
+            mol = parse_strict(row[0])
+            assert_refines_like_oracle(mol)
+            for seed in RESPELLING_SEEDS:
+                assert_refines_like_oracle(parse_strict(random_equivalent(mol, seed)))
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_GRAPHS))
+    def test_refinement_matches_full_rounds_on_symmetric_graphs(self, name: str) -> None:
+        n, edges = SYMMETRIC_GRAPHS[name]
+        for seed in range(3):
+            perm = list(range(n))
+            random.Random(seed).shuffle(perm)
+            assert_refines_like_oracle(graph_molecule(n, edges, perm))
+
+    def test_ranks_are_cell_starts(self) -> None:
+        mol = parse_strict("OCC(C)(C)CO")
+        ranks = _refine(_bond_adjacency(mol), _initial_invariants(mol))
+        starts = [sum(len(cell) for cell in cells(ranks)[:k]) for k in range(len(cells(ranks)))]
+        assert sorted(set(ranks)) == starts
 
 
 class TestCanonicalization:
