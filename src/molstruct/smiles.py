@@ -830,7 +830,7 @@ def _refine(
                     starts[cell] = position
                 else:
                     atoms = pieces[piece_key]
-                    if piece_key == rest_key:  # smaller than a re-keyed piece
+                    if piece_key == rest_key:  # shorter than the largest, re-keyed piece
                         atoms += [i for i in members[cell] if i not in hit]
                     members[cell].difference_update(atoms)
                     starts.append(position)
