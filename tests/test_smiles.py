@@ -357,22 +357,26 @@ def assert_refines_like_oracle(mol: Molecule) -> None:
     """
     adjacency = _bond_adjacency(mol)
     invariants = _initial_invariants(mol)
+
+    def first_tied(ranks: list[int]) -> list[int]:
+        return next((cell for cell in cells(ranks) if len(cell) > 1), [])
+
+    def individualized(ranks: list[int], candidate: int) -> list[int]:
+        rank = ranks[candidate]
+        moved_up = [r + (r == rank and i != candidate) for i, r in enumerate(ranks)]
+        refined = _refine(adjacency, moved_up, [candidate])
+        singled_out = [(r, i != candidate) for i, r in enumerate(ranks)]
+        assert cells(refined) == cells(refine_oracle(adjacency, singled_out)), candidate
+        return refined
+
     ranks = _refine(adjacency, invariants)
     assert cells(ranks) == cells(refine_oracle(adjacency, invariants))
-    first_level = True
-    while True:
-        tied = next((cell for cell in cells(ranks) if len(cell) > 1), None)
-        if tied is None:
-            return
-        rank = ranks[tied[0]]
-        refined = []
-        for candidate in tied if first_level else tied[:1]:
-            moved_up = [r + (r == rank and i != candidate) for i, r in enumerate(ranks)]
-            refined.append(_refine(adjacency, moved_up, [candidate]))
-            singled_out = [(r, i != candidate) for i, r in enumerate(ranks)]
-            assert cells(refined[-1]) == cells(refine_oracle(adjacency, singled_out)), candidate
-        ranks = refined[0]
-        first_level = False
+    tied = first_tied(ranks)
+    for candidate in tied[1:]:
+        individualized(ranks, candidate)
+    while tied:
+        ranks = individualized(ranks, tied[0])
+        tied = first_tied(ranks)
 
 
 class TestRefinement:
