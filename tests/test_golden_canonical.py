@@ -9,9 +9,11 @@ isopropyl-branched chains, cycloalkanes, prismanes, acenes and
 stereo-tagged oligovalines.  Long n-alkanes, PEG chains and large
 cycloalkanes are the hard case for neighbourhood refinement, which needs
 a round per few atoms of a chain; together with adamantane they also
-cover every molecule of the benchmark's ``large`` workload.  A rewrite of
-the canonicalizer or of ring perception that changes any of them shows
-here.
+cover every molecule of the benchmark's ``large`` workload.  Family
+members of at most 200 atoms are respelled once as well, so the writer's
+walk under a shuffled numbering is frozen on the symmetric cases too.  A
+rewrite of the canonicalizer, the writer or ring perception that changes
+any of them shows here.
 
     python3 tests/test_golden_canonical.py --write   # regenerate the file
 """
@@ -37,6 +39,7 @@ from conftest import corpus_rows  # noqa: E402
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_canonical.jsonl"
 RESPELLING_SEEDS = (1, 2)
+FAMILY_RESPELLING_MAX_ATOMS = 200
 
 
 def _digit(k: int) -> str:
@@ -111,14 +114,23 @@ FAMILIES = (
 
 
 def inputs() -> list[str]:
-    """Corpus molecules, each followed by its respellings, then the families."""
+    """Corpus molecules, each followed by its respellings, then the families.
+
+    A family member of at most ``FAMILY_RESPELLING_MAX_ATOMS`` atoms is
+    followed by one respelling, with the first seed.
+    """
     out: list[str] = []
     for row in corpus_rows():
         mol = parse_strict(row[0])
         out.append(row[0])
         out.extend(random_equivalent(mol, seed) for seed in RESPELLING_SEEDS)
     for family, sizes in FAMILIES:
-        out.extend(family(n) for n in sizes)
+        for n in sizes:
+            smiles = family(n)
+            out.append(smiles)
+            mol = parse_strict(smiles)
+            if len(mol.atoms) <= FAMILY_RESPELLING_MAX_ATOMS:
+                out.append(random_equivalent(mol, RESPELLING_SEEDS[0]))
     return out
 
 
