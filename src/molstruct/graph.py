@@ -554,46 +554,3 @@ def aromatic_neighbor_mean(mol: Molecule, idx: int) -> float | None:
     if not numbers:
         return None
     return statistics.fmean(numbers)
-
-
-def relabel(mol: Molecule, new_index: list[int]) -> Molecule:
-    """Copy ``mol`` with atom ``i`` moved to position ``new_index[i]``.
-
-    Stereo neighbor lists and bond endpoints are remapped; perception state
-    (hydrogen counts, aromatic flags, bond orders) is carried over and ring
-    perception re-runs on the new indexing.
-
-    Args:
-        mol: Source molecule, fully perceived.
-        new_index: Permutation of range(len(atoms)).
-
-    Returns:
-        A new, fully perceived molecule.
-    """
-    n = len(mol.atoms)
-    if sorted(new_index) != list(range(n)):
-        raise ValueError("new_index must be a permutation of the atom indices")
-    atoms: list[Atom | None] = [None] * n
-    for old, atom in enumerate(mol.atoms):
-        moved = replace(
-            atom,
-            index=new_index[old],
-            stereo_order=tuple(
-                H_BRANCH if s == H_BRANCH else new_index[s] for s in atom.stereo_order
-            ),
-        )
-        atoms[new_index[old]] = moved
-    bonds = [
-        Bond(
-            a=new_index[bond.a],
-            b=new_index[bond.b],
-            order=bond.order,
-            direction=bond.direction,
-        )
-        for bond in mol.bonds
-    ]
-    bonds.sort(key=lambda b: (min(b.a, b.b), max(b.a, b.b)))
-    out = Molecule([a for a in atoms if a is not None], bonds)
-    perceive_rings(out)
-    perceive_aromaticity(out)
-    return out

@@ -34,7 +34,6 @@ from .graph import (
     Molecule,
     _bare_hydrogens,
     perceive,
-    relabel,
 )
 
 MAX_CHARGE = 15
@@ -530,8 +529,6 @@ def _needs_bracket(mol: Molecule, atom: Atom) -> bool:
         return True
     if atom.element not in ORGANIC_SUBSET:
         return True
-    if atom.is_aromatic and atom.element.lower() not in AROMATIC_ORGANIC:
-        return True
     return _bare_hydrogens(mol, atom.index, atom.is_aromatic) != atom.total_h
 
 
@@ -727,6 +724,12 @@ def _write_component(mol: Molecule, start: int, key) -> tuple[str, list[int]]:
     return "".join(pieces), order
 
 
+def _write_by_key(mol: Molecule, key) -> str:
+    """Every component walked by ``key``, each from its lowest-keyed atom, in key order."""
+    starts = sorted((min(comp, key=key) for comp in mol.components()), key=key)
+    return ".".join(_write_component(mol, start, key)[0] for start in starts)
+
+
 def write(mol: Molecule) -> str:
     """Write SMILES following input atom order.
 
@@ -734,10 +737,7 @@ def write(mol: Molecule) -> str:
     first-atom order; neighbor traversal is by ascending atom index.  The
     output re-parses to a graph isomorphic to ``mol`` including chirality.
     """
-    parts = [
-        _write_component(mol, comp[0], key=lambda i: i)[0] for comp in mol.components()
-    ]
-    return ".".join(parts)
+    return _write_by_key(mol, lambda i: i)
 
 
 # ---------------------------------------------------------------------------
@@ -841,18 +841,6 @@ def _refine(
                 position += size[piece_key]
 
 
-def _is_automorphism(
-    moved: dict[int, int], adjacency: list[list[tuple[int, int]]], invariants: list[tuple]
-) -> bool:
-    """True when the atom map ``moved`` keeps every invariant and bond order."""
-    for i, j in moved.items():
-        if invariants[i] != invariants[j]:
-            return False
-        if {(order, moved.get(k, k)) for order, k in adjacency[i]} != set(adjacency[j]):
-            return False
-    return True
-
-
 def _orbit_root(parent: dict[int, int], atom: int) -> int:
     while parent.get(atom, atom) != atom:
         parent[atom] = parent.get(parent[atom], parent[atom])
@@ -865,7 +853,6 @@ def _component_min_string(
     comp: list[int],
     ranks: list[int],
     adjacency: list[list[tuple[int, int]]],
-    invariants: list[tuple],
 ) -> tuple[str, list[int]]:
     """Smallest string of the tie-break search over one component, with its atom order.
 
@@ -873,8 +860,9 @@ def _component_min_string(
     time, in atom order, refines and recurses; a leaf writes the component
     by rank.  Only a strictly smaller string replaces a node's best.  Two
     leaves that write the same string differ by an automorphism, which maps
-    the k-th atom of one emission order to the k-th of the other (stereo
-    and bond directions agree because the strings do).  A node skips a
+    the k-th atom of one emission order to the k-th of the other; it is
+    trusted without a check, since the string spells every atom label and
+    bond order that the map must keep.  A node skips a
     candidate in the orbit of one it already tried, under the automorphisms
     that fix every atom individualized above it: that subtree is the image
     of one already searched, so its smallest string equals an earlier one
@@ -893,9 +881,7 @@ def _component_min_string(
             return result
         twin = first if result[0] == first[0] else best if result[0] == best[0] else None
         if twin is not None:
-            moved = {a: b for a, b in zip(twin[1], result[1]) if a != b}
-            if moved and _is_automorphism(moved, adjacency, invariants):
-                automorphisms.append(moved)
+            automorphisms.append({a: b for a, b in zip(twin[1], result[1]) if a != b})
         if result[0] < best[0]:
             best = result
         return result
@@ -937,12 +923,8 @@ def _component_min_string(
 
 def _canonical_parts(mol: Molecule) -> list[tuple[str, list[int]]]:
     adjacency = _bond_adjacency(mol)
-    invariants = _initial_invariants(mol)
-    ranks = _refine(adjacency, invariants)
-    parts = [
-        _component_min_string(mol, comp, ranks, adjacency, invariants)
-        for comp in mol.components()
-    ]
+    ranks = _refine(adjacency, _initial_invariants(mol))
+    parts = [_component_min_string(mol, comp, ranks, adjacency) for comp in mol.components()]
     parts.sort(key=lambda part: (part[0], part[1]))
     return parts
 
@@ -980,17 +962,19 @@ def canonical_order(mol: Molecule) -> list[int]:
 def random_equivalent(mol: Molecule, seed: int) -> str:
     """A randomly renumbered SMILES for the same molecule.
 
-    Deterministic per seed: the atom order is shuffled with
-    ``random.Random(seed)`` and the relabeled molecule written as is.
+    Deterministic per seed: ``mol`` is written as ``write`` would write it
+    with its atoms renumbered by a ``random.Random(seed)`` shuffle.  The
+    string spells the molecule's own perception; where the reader perceives
+    aromaticity differently, it may not parse back to ``mol``, or at all.
 
     Args:
         mol: Source molecule, fully perceived.
         seed: RNG seed; equal seeds give equal strings.
 
     Returns:
-        A SMILES string that parses back to a graph isomorphic to ``mol``.
+        A SMILES string spelling ``mol``.
     """
     rng = random.Random(seed)
     new_index = list(range(len(mol.atoms)))
     rng.shuffle(new_index)
-    return write(relabel(mol, new_index))
+    return _write_by_key(mol, new_index.__getitem__)

@@ -254,6 +254,27 @@ def isomorphic_oracle(a: Molecule, b: Molecule) -> bool:
     return extend(0)
 
 
+def automorphism_oracle(mol: Molecule, moved: dict[int, int]) -> bool:
+    """True when ``moved``, the identity elsewhere, maps ``mol`` onto itself.
+
+    The map must permute the atoms it moves, and keep each atom's element,
+    charge, isotope, total hydrogens and aromatic flag and each bond's
+    order.
+    """
+    if sorted(moved) != sorted(moved.values()):
+        return False
+
+    def label(i: int) -> tuple:
+        atom = mol.atoms[i]
+        return (atom.element, atom.charge, atom.isotope, atom.total_h, atom.is_aromatic)
+
+    bonds = {frozenset((bond.a, bond.b)): bond.order for bond in mol.bonds}
+    image = {
+        frozenset(moved.get(i, i) for i in pair): order for pair, order in bonds.items()
+    }
+    return image == bonds and all(label(i) == label(j) for i, j in moved.items())
+
+
 def _dense_ranks(keys: list) -> list[int]:
     ordered = sorted(set(keys))
     rank_of = {key: rank for rank, key in enumerate(ordered)}

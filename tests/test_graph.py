@@ -15,7 +15,6 @@ from molstruct.graph import (
     assign_implicit_hydrogens,
     perceive_aromaticity,
     perceive_rings,
-    relabel,
 )
 from molstruct.profile import extract_profile
 from molstruct.smiles import parse_strict
@@ -275,11 +274,6 @@ class TestMoleculeBasics:
     def test_unknown_element_rejected(self) -> None:
         with pytest.raises(ValueError, match="unknown element symbol 'Xx'"):
             Atom("Xx")
-
-    @pytest.mark.parametrize("new_index", [[0, 0, 1], [0, 1], [1, 2, 3]])
-    def test_relabel_requires_a_permutation(self, new_index: list[int]) -> None:
-        with pytest.raises(ValueError, match="permutation"):
-            relabel(parse_strict("CCO"), new_index)
 
     def test_bonds_of_and_neighbors_follow_insertion_order(self) -> None:
         mol = Molecule([Atom("C"), Atom("C"), Atom("O")], [Bond(1, 2), Bond(0, 1)])

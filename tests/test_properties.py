@@ -317,6 +317,23 @@ def _spec_molecule(spec: MoleculeSpec) -> Molecule:
     return mol
 
 
+class TestRespellingIsTotal:
+    """``random_equivalent`` writes any perceived molecule, even one whose
+    aromatic form does not read back (see TestAromaticRoundTripFaults)."""
+
+    def test_bridged_aromatic_ring_respells_under_every_seed(self) -> None:
+        mol = parse_strict("c1cc2ccc1CC2")
+        for seed in range(200):
+            assert isinstance(random_equivalent(mol, seed), str), seed
+
+    @given(molecule_specs(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_every_parsed_molecule_respells(self, spec: MoleculeSpec, seed: int) -> None:
+        mol = parse(spec.smiles())
+        assume(isinstance(mol, Molecule))
+        assert isinstance(random_equivalent(mol, seed), str), spec.smiles()
+
+
 class TestCanonicalIsomorphism:
     @given(molecule_specs())
     @settings(max_examples=300, deadline=None)
@@ -589,20 +606,27 @@ class TestMetricAxioms:
 class TestAromaticRoundTripFaults:
     """Known faults of aromaticity perception, kept out of the random molecules above.
 
-    A respelling can perceive different aromatic atoms when rings are
-    fused or bridged, and the parser rejects some aromatic forms that the
-    writer emits.  Each case fails the same way
-    with and without the automorphism pruning of the canonical writer.
+    The writer spells the aromatic atoms that parsing perceived, but when
+    rings are fused or bridged the parser can reject that spelling: read
+    back, a lowercase atom lands in no ring it perceives aromatic.  So a
+    respelling, or a canonical form, of such a molecule may not parse
+    back.  Each case fails the same way with and without the automorphism
+    pruning of the canonical writer.
     """
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="aromaticity depends on atom numbering")
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="aromatic form of the respelling is rejected")
     @pytest.mark.parametrize(
         "smiles,seed",
-        [("C1(=CC2=CC=C1C[NH2+]2)S", 46495), ("C12=NC=NC(=C1)O2.O", 312800)],
+        [
+            ("C1(=CC2=CC=C1C[NH2+]2)S", 46495),
+            ("C12=NC=NC(=C1)O2.O", 312800),
+            ("c1cc2ccc1CC2", 2),  # written C1c2ccc(cc2)C1
+        ],
     )
     def test_respelling_is_isomorphic(self, smiles: str, seed: int) -> None:
         mol = parse_strict(smiles)
-        assert isomorphic_oracle(parse_strict(random_equivalent(mol, seed)), mol)
+        back = parse(random_equivalent(mol, seed))
+        assert isinstance(back, Molecule) and isomorphic_oracle(back, mol)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="aromatic form is rejected")
     @pytest.mark.parametrize("smiles", ["C1=C(C(=C2C(=C1)N2F)C)CC", "C=1=C=CO[N+]1[O-]"])

@@ -18,6 +18,7 @@ from molstruct.smiles import (
     _bond_adjacency,
     _initial_invariants,
     _refine,
+    _write_component,
     canonical_order,
     canonicalize,
     parse,
@@ -27,10 +28,11 @@ from molstruct.smiles import (
     write,
 )
 
-from _oracles import refine_oracle
+from _oracles import automorphism_oracle, refine_oracle
 from conftest import corpus_rows
 from test_golden_canonical import (
     RESPELLING_SEEDS,
+    acene,
     alkane,
     cycloalkane,
     isopropyl_chain,
@@ -203,6 +205,18 @@ class TestWriter:
         assign_implicit_hydrogens(mol)
         assert write(mol) == "F[C@@H](Cl)Br"
 
+    def test_chiral_tag_with_a_recorded_order_of_other_neighbors_is_kept(self) -> None:
+        # A hand-built order that leaves out the hydrogen names no
+        # permutation of the written neighbors, so the tag stays as given.
+        center = Atom(
+            "C", chirality=Chirality.CLOCKWISE, bracket=True, explicit_h=1, stereo_order=(0, 2, 3)
+        )
+        mol = Molecule(
+            [Atom("F"), center, Atom("Cl"), Atom("Br")], [Bond(0, 1), Bond(1, 2), Bond(1, 3)]
+        )
+        assign_implicit_hydrogens(mol)
+        assert write(mol) == "F[C@@H](Cl)Br"
+
     def test_kekule_input_writes_aromatic(self) -> None:
         assert write(parse_strict("C1=CC=CC=C1")) == "c1ccccc1"
 
@@ -346,37 +360,66 @@ def cells(ranks: list[int]) -> list[list[int]]:
     return [by_rank[rank] for rank in sorted(by_rank)]
 
 
+def first_tied(ranks: list[int], atoms: set[int] | None = None) -> list[int]:
+    """The first cell with more than one atom (of ``atoms``, when given)."""
+    tied = (cell if atoms is None else [i for i in cell if i in atoms] for cell in cells(ranks))
+    return next((cell for cell in tied if len(cell) > 1), [])
+
+
+def individualized(
+    adjacency: list[list[tuple[int, int]]], ranks: list[int], candidate: int
+) -> list[int]:
+    """Refined ranks once ``candidate`` keeps its cell's rank and the rest
+    of the cell moves one up, as in the tie-break search."""
+    rank = ranks[candidate]
+    moved_up = [r + (r == rank and i != candidate) for i, r in enumerate(ranks)]
+    return _refine(adjacency, moved_up, [candidate])
+
+
+def first_path(adjacency: list[list[tuple[int, int]]], ranks: list[int]) -> list[list[int]]:
+    """Ranks at each node of the search path from ``ranks`` that
+    individualizes the first atom of the first tied cell until none is tied."""
+    path = [ranks]
+    while tied := first_tied(path[-1]):
+        path.append(individualized(adjacency, path[-1], tied[0]))
+    return path
+
+
 def assert_refines_like_oracle(mol: Molecule) -> None:
     """``_refine`` reaches the ordered partition of full refinement rounds.
 
     Checked from the initial invariants, after individualizing each atom
-    of the first tied cell, and down the search path that individualizes
-    the first atom of the first tied cell until no cell is tied.  An
-    individualized atom keeps its cell's rank and the rest of the cell
-    moves one up, as in the tie-break search.
+    of the first tied cell, and down the first search path.
     """
     adjacency = _bond_adjacency(mol)
     invariants = _initial_invariants(mol)
 
-    def first_tied(ranks: list[int]) -> list[int]:
-        return next((cell for cell in cells(ranks) if len(cell) > 1), [])
-
-    def individualized(ranks: list[int], candidate: int) -> list[int]:
-        rank = ranks[candidate]
-        moved_up = [r + (r == rank and i != candidate) for i, r in enumerate(ranks)]
-        refined = _refine(adjacency, moved_up, [candidate])
+    def assert_like_oracle(ranks: list[int], candidate: int, refined: list[int]) -> None:
         singled_out = [(r, i != candidate) for i, r in enumerate(ranks)]
         assert cells(refined) == cells(refine_oracle(adjacency, singled_out)), candidate
-        return refined
 
     ranks = _refine(adjacency, invariants)
     assert cells(ranks) == cells(refine_oracle(adjacency, invariants))
-    tied = first_tied(ranks)
-    for candidate in tied[1:]:
-        individualized(ranks, candidate)
-    while tied:
-        ranks = individualized(ranks, tied[0])
-        tied = first_tied(ranks)
+    for candidate in first_tied(ranks)[1:]:
+        assert_like_oracle(ranks, candidate, individualized(adjacency, ranks, candidate))
+    path = first_path(adjacency, ranks)
+    for before, after in zip(path, path[1:]):
+        assert_like_oracle(before, first_tied(before)[0], after)
+
+
+def first_cell_leaves(mol: Molecule) -> list[tuple[str, list[int]]]:
+    """Per component, each atom of its first tied cell individualized, the
+    first search path followed to a leaf, and the component written by
+    the leaf's ranks: (string, atom emission order) pairs."""
+    adjacency = _bond_adjacency(mol)
+    ranks = _refine(adjacency, _initial_invariants(mol))
+    leaves = []
+    for comp in mol.components():
+        for candidate in first_tied(ranks, set(comp)):
+            leaf = first_path(adjacency, individualized(adjacency, ranks, candidate))[-1]
+            start = min(comp, key=leaf.__getitem__)
+            leaves.append(_write_component(mol, start, key=leaf.__getitem__))
+    return leaves
 
 
 class TestRefinement:
@@ -399,6 +442,46 @@ class TestRefinement:
         mol = parse_strict("OCC(C)(C)CO")
         ranks = _refine(_bond_adjacency(mol), _initial_invariants(mol))
         assert ranks == [sum(other < rank for other in ranks) for rank in ranks]
+
+
+def symmetries_checked(mol: Molecule) -> int:
+    """Check every two first-cell leaves that write one string; count them.
+
+    The tie-break search keeps the position-wise map between two such
+    leaves as an automorphism without checking it; the oracle checks it.
+    """
+    leaves = first_cell_leaves(mol)
+    checked = 0
+    for k, (text, order) in enumerate(leaves):
+        for other_text, other_order in leaves[k + 1 :]:
+            if text == other_text:
+                moved = {a: b for a, b in zip(order, other_order) if a != b}
+                assert automorphism_oracle(mol, moved), text
+                checked += 1
+    return checked
+
+
+class TestEqualLeavesAreSymmetries:
+    def test_corpus(self) -> None:
+        assert sum(symmetries_checked(parse_strict(row[0])) for row in corpus_rows())
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_GRAPHS))
+    def test_symmetric_graphs(self, name: str) -> None:
+        n, edges = SYMMETRIC_GRAPHS[name]
+        assert symmetries_checked(graph_molecule(n, edges, list(range(n))))
+
+    def test_charge_on_one_atom_of_a_symmetric_graph(self) -> None:
+        # Every map of the bare graph that moves the charged atom is wrong.
+        n, edges = SYMMETRIC_GRAPHS["petersen"]
+        mol = graph_molecule(n, edges, list(range(n)))
+        mol.atoms[0].charge = -1
+        assert symmetries_checked(mol)
+
+    @pytest.mark.parametrize(
+        "smiles", [polyphenyl(3), polyphenyl(5), prismane(4), prismane(6), acene(3), acene(4)]
+    )
+    def test_symmetric_families(self, smiles: str) -> None:
+        assert symmetries_checked(parse_strict(smiles))
 
 
 class TestCanonicalization:
