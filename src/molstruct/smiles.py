@@ -862,9 +862,9 @@ def _component_min_string(
     leaves that write the same string differ by an automorphism, which maps
     the k-th atom of one emission order to the k-th of the other; it is
     trusted without a check, since the string spells every atom label and
-    bond order that the map must keep.  A node skips a
-    candidate in the orbit of one it already tried, under the automorphisms
-    that fix every atom individualized above it: that subtree is the image
+    bond order that the map must keep.  A node skips a candidate in the
+    orbit of one it already tried, under the automorphisms that fix every
+    atom individualized above it: that subtree is the image
     of one already searched, so its smallest string equals an earlier one
     and could not replace the best (McKay & Piperno, "Practical graph
     isomorphism, II", 2014).
