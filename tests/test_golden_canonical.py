@@ -11,7 +11,11 @@ cycloalkanes are the hard case for neighbourhood refinement, which needs
 a round per few atoms of a chain; together with adamantane they also
 cover every molecule of the benchmark's ``large`` workload.  Family
 members of at most 200 atoms are respelled once as well, so the writer's
-walk under a shuffled numbering is frozen on the symmetric cases too.  A
+walk under a shuffled numbering is frozen on the symmetric cases too.
+Spiro-joined cyclopentane chains, cyclobutane ladders, para-polyphenyl-30,
+both spellings of 2-azabicyclo[2.2.2]octane (whose SSSR depends on the
+numbering) and rings joined by a chain or by nothing split into ring
+blocks in different ways, which ring perception must not see.  A
 rewrite of the canonicalizer, the writer or ring perception that changes
 any of them shows here.
 
@@ -94,6 +98,33 @@ def adamantane(_: int) -> str:
     return "C1C2CC3CC1CC(C2)C3"
 
 
+def spiro_chain(n: int) -> str:
+    """n cyclopentanes in a line, each sharing one atom with the next."""
+    return "C1CCC" + "".join(f"C{k % 2 + 1}{(k + 1) % 2 + 1}CCC" for k in range(n - 1)) + f"C{(n - 1) % 2 + 1}"
+
+
+def ladder(n: int) -> str:
+    """n cyclobutanes fused edge to edge in a line, 2n + 2 carbons.
+
+    The atoms are spelled in a zigzag along the rungs, so each ring bond
+    closes a rail three atoms further on.
+    """
+    marks = [""] * (2 * n + 2)
+    for k in range(0, 2 * n, 2):
+        label = str(k // 2 % 2 + 1)
+        marks[k] += label
+        marks[k + 3] += label
+    return "".join("C" + mark for mark in marks)
+
+
+RING_BLOCK_CASES = ("C1C2CCC(C1)CN2", "C1C2CCC(CC2)N1", "C1CC1.c1ccccc1CC1CCCC1")
+
+
+def ring_block_case(k: int) -> str:
+    """A bridged bicycle in either spelling, or rings joined by a chain and by nothing."""
+    return RING_BLOCK_CASES[k]
+
+
 def oligovaline(n: int) -> str:
     """n L-valine residues written with stereo tags, as a free acid."""
     return "N[C@@H](C(C)C)C(=O)" * n + "O"
@@ -110,6 +141,10 @@ FAMILIES = (
     (peg, (4, 8, 16, 32, 40, 200)),
     (cycloalkane, (100, 200)),
     (adamantane, (10,)),
+    (spiro_chain, (5, 20, 60)),
+    (ladder, (10, 50, 100)),
+    (polyphenyl, (30,)),
+    (ring_block_case, range(len(RING_BLOCK_CASES))),
 )
 
 
