@@ -12,6 +12,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
+from typing import Iterator
 
 from .elements import (
     CATION_VALENCE_SHIFT,
@@ -304,30 +305,73 @@ def _canonical_cycle(atoms: list[int]) -> tuple[int, ...]:
     return best
 
 
-def _shortest_path_tree(mol: Molecule, root: int) -> tuple[dict[int, int], dict[int, int]]:
-    """BFS distances and parents from ``root``."""
-    dist = {root: 0}
-    parent = {root: root}
-    queue = [root]
-    head = 0
-    while head < len(queue):
-        cur = queue[head]
-        head += 1
-        for nxt in mol.neighbors(cur):
-            if nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                parent[nxt] = cur
-                queue.append(nxt)
-    return dist, parent
+def _ring_blocks(mol: Molecule) -> list[tuple[list[int], list[Bond]]]:
+    """Biconnected blocks that hold a cycle, as (sorted atoms, bonds).
+
+    Tarjan's depth-first search with a stack of bonds; a block is popped
+    off the stack when an atom's subtree reaches back no higher than its
+    parent.  The search keeps its own stack, so long chains do not
+    recurse.  Every block but a bridge (one bond) holds a cycle; bridges
+    are dropped, and a leaf atom's bond never enters the stack.
+    """
+    order = [0] * len(mol.atoms)  # discovery time, 0 until the search reaches the atom
+    low = [0] * len(mol.atoms)
+    bond_stack: list[Bond] = []
+    blocks: list[tuple[list[int], list[Bond]]] = []
+    clock = 0
+    for start in range(len(mol.atoms)):
+        if order[start]:
+            continue
+        clock += 1
+        order[start] = low[start] = clock
+        path: list[tuple[int, Bond | None, Iterator[tuple[int, Bond]]]] = [
+            (start, None, iter(mol._adjacency[start]))
+        ]
+        while path:
+            atom, via, pending = path[-1]
+            for nxt, bond in pending:
+                if not order[nxt]:
+                    clock += 1
+                    order[nxt] = low[nxt] = clock
+                    if len(mol._adjacency[nxt]) == 1:
+                        continue  # a leaf: its bond is a bridge
+                    bond_stack.append(bond)
+                    path.append((nxt, bond, iter(mol._adjacency[nxt])))
+                    break
+                if order[nxt] < order[atom] and bond is not via:
+                    bond_stack.append(bond)
+                    low[atom] = min(low[atom], order[nxt])
+            else:
+                path.pop()
+                if not path:
+                    continue
+                up = path[-1][0]
+                if low[atom] < order[up]:
+                    low[up] = min(low[up], low[atom])
+                    continue
+                bonds = [bond_stack.pop()]
+                if bonds[0] is via:
+                    continue  # a bridge
+                while bonds[-1] is not via:
+                    bonds.append(bond_stack.pop())
+                blocks.append((sorted({end for bond in bonds for end in (bond.a, bond.b)}), bonds))
+    return blocks
 
 
 def perceive_rings(mol: Molecule) -> list[Ring]:
     """Perceive the smallest set of smallest rings (SSSR).
 
-    Candidate cycles come from every (vertex, edge) shortest-path closure
-    (the Horton set); a greedy pass ordered by size then lexicographic atom
-    sequence keeps each cycle that is linearly independent over GF(2) until
-    the cyclomatic number is reached.
+    Candidate cycles form the Horton set: each closes a bond onto the
+    shortest-path tree of a root, where the bond's two tree paths meet
+    only at the root.  Such a cycle lies inside one biconnected block, and
+    so do the shortest paths between its atoms, so candidates come only
+    from the roots and bonds of one ring block, over a breadth-first tree
+    kept inside the block.  Each tree atom carries the edge mask of its
+    path and the root's child that the path leaves by; a bond between two
+    different children's subtrees closes a cycle whose edge mask is the
+    two path masks and the bond.  Per block, a greedy pass ordered by size
+    then lexicographic atom sequence keeps each cycle that is linearly
+    independent over GF(2) until the block's cyclomatic number is reached.
 
     Args:
         mol: Molecule to update in place.
@@ -335,58 +379,54 @@ def perceive_rings(mol: Molecule) -> list[Ring]:
     Returns:
         The perceived rings, also stored on ``mol.rings``.
     """
-    n_components = len(mol.components())
-    cyclomatic = len(mol.bonds) - len(mol.atoms) + n_components
-    if cyclomatic <= 0:
-        mol.rings = []
-        return mol.rings
-
-    def edge_mask(cycle: list[int]) -> int:
-        mask = 0
-        for i, a in enumerate(cycle):
-            b = cycle[(i + 1) % len(cycle)]
-            mask |= 1 << mol._bond_index[(a, b) if a < b else (b, a)]
-        return mask
-
-    candidates: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for root in range(len(mol.atoms)):
-        dist, parent = _shortest_path_tree(mol, root)
-        for bond in mol.bonds:
-            x, y = bond.a, bond.b
-            if x not in dist or y not in dist:
-                continue
-            path_x = [x]
-            while path_x[-1] != root:
-                path_x.append(parent[path_x[-1]])
-            path_y = [y]
-            while path_y[-1] != root:
-                path_y.append(parent[path_y[-1]])
-            if set(path_x) & set(path_y) != {root}:
-                continue
-            cycle = path_x + list(reversed(path_y[:-1]))
-            if len(cycle) < 3:
-                continue
-            mask = edge_mask(cycle)
-            if mask not in candidates:
+    rings: list[Ring] = []
+    for atoms, bonds in _ring_blocks(mol):
+        local = {atom: k for k, atom in enumerate(atoms)}
+        bit = {id(bond): 1 << k for k, bond in enumerate(bonds)}
+        neighbors = [[(local[j], bit[id(bond)]) for j, bond in mol._adjacency[a] if j in local] for a in atoms]
+        ends = [(local[bond.a], local[bond.b], 1 << k) for k, bond in enumerate(bonds)]
+        candidates: dict[int, tuple[int, tuple[int, ...]]] = {}
+        for root in range(len(atoms)):
+            parent = [-1] * len(atoms)
+            branch = list(range(len(atoms)))
+            path_mask = [0] * len(atoms)
+            parent[root] = root
+            queue = [root]
+            for cur in queue:
+                for nxt, b in neighbors[cur]:
+                    if parent[nxt] < 0:
+                        parent[nxt] = cur
+                        if cur != root:
+                            branch[nxt] = branch[cur]
+                        path_mask[nxt] = path_mask[cur] | b
+                        queue.append(nxt)
+            for x, y, b in ends:
+                if branch[x] == branch[y] or (path_mask[x] | path_mask[y]) & b:
+                    continue
+                mask = path_mask[x] | path_mask[y] | b
+                if mask in candidates:
+                    continue
+                cycle = [atoms[y]]
+                while y != root:
+                    y = parent[y]
+                    cycle.append(atoms[y])
+                cycle.reverse()
+                while x != root:
+                    cycle.append(atoms[x])
+                    x = parent[x]
                 candidates[mask] = (len(cycle), _canonical_cycle(cycle))
 
-    ordered = sorted(
-        ((size, seq, mask) for mask, (size, seq) in candidates.items()),
-        key=lambda item: (item[0], item[1]),
-    )
-    basis: list[int] = []
-    rings: list[Ring] = []
-    for _, seq, mask in ordered:
-        reduced = mask
-        for vec in basis:
-            low = vec & -vec
-            if reduced & low:
-                reduced ^= vec
-        if reduced:
-            basis.append(reduced)
-            rings.append(Ring(atoms=seq))
-            if len(rings) == cyclomatic:
-                break
+        cyclomatic = len(bonds) - len(atoms) + 1
+        basis: list[int] = []
+        for mask, (_, seq) in sorted(candidates.items(), key=lambda item: item[1]):
+            for vec in basis:
+                if mask & (vec & -vec):
+                    mask ^= vec
+            if mask:
+                basis.append(mask)
+                rings.append(Ring(atoms=seq))
+                if len(basis) == cyclomatic:
+                    break
 
     rings.sort(key=lambda r: (r.size, r.atoms))
     mol.rings = rings

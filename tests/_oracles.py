@@ -96,6 +96,68 @@ def cyclomatic_count(mol: Molecule) -> int:
     return m - n + components
 
 
+def _min_rotation(cycle: list[int]) -> tuple[int, ...]:
+    """The smallest of the cycle's rotations and reflections."""
+    n = len(cycle)
+    spins = [cycle[k:] + cycle[:k] for k in range(n)]
+    return min(tuple(seq) for spin in spins for seq in (spin, spin[:1] + spin[:0:-1]))
+
+
+def sssr_oracle(mol: Molecule) -> list[tuple[int, ...]]:
+    """SSSR atom tuples from the Horton set of every atom, in ring order.
+
+    From every atom a breadth-first tree over the whole molecule; every
+    bond whose two tree paths meet only at the root closes a candidate
+    cycle.  Candidates are taken by size, then atom sequence (each
+    written as its smallest rotation or reflection), while they are
+    independent over GF(2), up to the cyclomatic number.
+    """
+    if cyclomatic_count(mol) == 0:
+        return []
+    bit_of = {frozenset((bond.a, bond.b)): 1 << k for k, bond in enumerate(mol.bonds)}
+    candidates: dict[int, tuple[int, tuple[int, ...]]] = {}
+    for root in range(len(mol.atoms)):
+        parent = {root: root}
+        queue = [root]
+        for cur in queue:
+            for nxt in mol.neighbors(cur):
+                if nxt not in parent:
+                    parent[nxt] = cur
+                    queue.append(nxt)
+        for bond in mol.bonds:
+            x, y = bond.a, bond.b
+            if x not in parent or y not in parent:
+                continue
+            paths = []
+            for end in (x, y):
+                path = [end]
+                while path[-1] != root:
+                    path.append(parent[path[-1]])
+                paths.append(path)
+            path_x, path_y = paths
+            if set(path_x) & set(path_y) != {root}:
+                continue
+            cycle = path_x + path_y[-2::-1]
+            if len(cycle) < 3:
+                continue
+            mask = 0
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                mask |= bit_of[frozenset((a, b))]
+            candidates.setdefault(mask, (len(cycle), _min_rotation(cycle)))
+
+    basis: dict[int, int] = {}  # pivot bit -> reduced vector holding it
+    rings: list[tuple[int, ...]] = []
+    for mask, (_, seq) in sorted(candidates.items(), key=lambda item: item[1]):
+        for pivot, vec in basis.items():
+            if mask & pivot:
+                mask ^= vec
+        if mask:
+            basis[mask & -mask] = mask
+            rings.append(seq)
+    assert len(rings) == cyclomatic_count(mol)
+    return sorted(rings, key=lambda seq: (len(seq), seq))
+
+
 def levenshtein_oracle(a: str, b: str) -> int:
     """Textbook recursive edit distance with memoization."""
 

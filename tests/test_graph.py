@@ -11,6 +11,7 @@ from molstruct.graph import (
     BondOrder,
     Chirality,
     Molecule,
+    _ring_blocks,
     aromatic_neighbor_mean,
     assign_implicit_hydrogens,
     perceive_aromaticity,
@@ -19,7 +20,9 @@ from molstruct.graph import (
 from molstruct.profile import extract_profile
 from molstruct.smiles import parse_strict
 
-from _oracles import cyclomatic_count, ring_atoms_oracle
+from _oracles import cyclomatic_count, ring_atoms_oracle, sssr_oracle
+from test_golden_canonical import adamantane, cycloalkane, ladder, polyphenyl, prismane, spiro_chain
+from test_smiles import best_seconds
 
 
 def hydrogens(smiles: str) -> list[int]:
@@ -144,6 +147,74 @@ class TestRingPerception:
             mol = parse_strict(smiles)
             perceived = {a for ring in mol.rings for a in ring.atoms}
             assert perceived == ring_atoms_oracle(mol), smiles
+
+
+class TestRingBlocks:
+    """The biconnected blocks that ring perception enumerates cycles in."""
+
+    @pytest.mark.parametrize(
+        "smiles,blocks",
+        [
+            ("C1CC1C1CC1", [([0, 1, 2], 3), ([3, 4, 5], 3)]),
+            ("C1CC1CCC1CCCC1", [([0, 1, 2], 3), ([5, 6, 7, 8, 9], 5)]),
+            ("C1CCC12CCC2", [([0, 1, 2, 3], 4), ([3, 4, 5, 6], 4)]),
+            ("C1CC11CC1", [([0, 1, 2], 3), ([2, 3, 4], 3)]),
+            ("C", []),
+            ("CCO", []),
+            ("C1CC1.[Na+]", [([0, 1, 2], 3)]),
+            ("[Na+].C1CC1", [([1, 2, 3], 3)]),
+            (prismane(4), [(list(range(8)), 12)]),
+            (adamantane(1), [(list(range(10)), 12)]),
+            ("C1CC1.C1CCC2CCCCC2C1", [([0, 1, 2], 3), (list(range(3, 13)), 11)]),
+            ("C1CC1CC(C)C1CCCC1C", [([0, 1, 2], 3), ([6, 7, 8, 9, 10], 5)]),
+        ],
+        ids=[
+            "bridge", "chain-between-rings", "spiro", "spiropentane", "one-atom", "acyclic",
+            "isolated-atom-after", "isolated-atom-first", "cubane", "adamantane", "disconnected",
+            "substituted",
+        ],
+    )
+    def test_blocks(self, smiles: str, blocks: list[tuple[list[int], int]]) -> None:
+        mol = parse_strict(smiles)
+        found = sorted((atoms, len(bonds)) for atoms, bonds in _ring_blocks(mol))
+        assert found == blocks
+        assert [ring.atoms for ring in mol.rings] == sssr_oracle(mol)
+
+    def test_block_bonds_join_block_atoms(self) -> None:
+        mol = parse_strict("C1CC1C1CC12CCC2")
+        for atoms, bonds in _ring_blocks(mol):
+            assert {end for bond in bonds for end in (bond.a, bond.b)} == set(atoms)
+
+    def test_deep_search_does_not_recurse(self) -> None:
+        mol = parse_strict("C" * 2000 + "1CC1")
+        assert [(atoms, len(bonds)) for atoms, bonds in _ring_blocks(mol)] == [([1999, 2000, 2001], 3)]
+        assert [ring.atoms for ring in mol.rings] == [(1999, 2000, 2001)]
+
+
+class TestRingScaling:
+    """Ring molecules whose perception ran a search from every atom over
+    the whole molecule.
+
+    Each bound is about five times the parse time measured on a 2-core
+    machine (Python 3.11).  Before ring perception kept to ring blocks,
+    these parses took 0.3 to 0.8 s each on the same machine, and a
+    ladder of 199 cyclobutanes took 6 to 9 s.
+    """
+
+    @pytest.mark.parametrize(
+        "smiles,bound",
+        [
+            (cycloalkane(200), 0.05),
+            (spiro_chain(60), 0.025),
+            (ladder(100), 0.4),
+            (polyphenyl(30), 0.015),
+        ],
+        ids=["cyclo-C200", "spiro-60", "ladder-100", "polyphenyl-30"],
+    )
+    def test_parse_in_time(self, smiles: str, bound: float) -> None:
+        assert best_seconds(lambda: parse_strict(smiles), bound) < bound
+        mol = parse_strict(smiles)
+        assert len(mol.rings) == cyclomatic_count(mol)
 
 
 class TestAromaticity:

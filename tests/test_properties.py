@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from molstruct.errors import RationaleParseError
-from molstruct.graph import Molecule
+from molstruct.graph import Atom, Bond, Molecule, perceive_rings
 from molstruct.metrics import (
     corpus_bleu,
     levenshtein,
@@ -35,8 +35,9 @@ from molstruct.smiles import (
     random_equivalent,
 )
 
-from _oracles import isomorphic_oracle, levenshtein_oracle, longest_chain_oracle
+from _oracles import isomorphic_oracle, levenshtein_oracle, longest_chain_oracle, sssr_oracle
 from conftest import corpus_rows
+from test_golden_canonical import RESPELLING_SEEDS, RING_BLOCK_CASES, ladder, polyphenyl, spiro_chain
 from test_smiles import assert_refines_like_oracle
 
 CORPUS = [row[0] for row in corpus_rows()]
@@ -366,6 +367,61 @@ class TestCanonicalIsomorphism:
     @settings(max_examples=300, deadline=None)
     def test_refinement_matches_full_rounds(self, spec: MoleculeSpec) -> None:
         assert_refines_like_oracle(_spec_molecule(spec))
+
+
+@st.composite
+def ring_graphs(draw: st.DrawFn) -> Molecule:
+    """Up to 14 bracket carbons joined by random single bonds.
+
+    Bonds come in random order and direction, so the graphs mix trees,
+    bridges, spiro atoms, fused and bridged blocks and separate parts.
+    """
+    n = draw(st.integers(min_value=1, max_value=14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    bonds = [Bond(a=j, b=i) if draw(st.booleans()) else Bond(a=i, b=j) for i, j in chosen]
+    return Molecule([Atom(element="C", bracket=True) for _ in range(n)], bonds)
+
+
+RING_FAMILIES = {
+    **{f"spiro-{n}": spiro_chain(n) for n in (5, 20, 60)},
+    **{f"ladder-{n}": ladder(n) for n in (10, 50, 100)},
+    "polyphenyl-30": polyphenyl(30),
+    **{smiles: smiles for smiles in RING_BLOCK_CASES},
+}
+
+
+def assert_sssr_like_oracle(mol: Molecule) -> None:
+    assert [ring.atoms for ring in mol.rings] == sssr_oracle(mol)
+
+
+class TestRingPerception:
+    """Ring perception inside ring blocks keeps the SSSR of the Horton
+    set of every atom over the whole molecule (``sssr_oracle``)."""
+
+    def test_matches_oracle_on_corpus_and_respellings(self) -> None:
+        for row in corpus_rows():
+            mol = parse_strict(row[0])
+            assert_sssr_like_oracle(mol)
+            for seed in RESPELLING_SEEDS:
+                assert_sssr_like_oracle(parse_strict(random_equivalent(mol, seed)))
+
+    @pytest.mark.parametrize("name", sorted(RING_FAMILIES))
+    def test_matches_oracle_on_ring_families(self, name: str) -> None:
+        assert_sssr_like_oracle(parse_strict(RING_FAMILIES[name]))
+
+    @given(molecule_specs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_on_random_molecules(self, spec: MoleculeSpec) -> None:
+        mol = parse(spec.smiles())
+        assume(isinstance(mol, Molecule))
+        assert_sssr_like_oracle(mol)
+
+    @given(ring_graphs())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_oracle_on_random_graphs(self, mol: Molecule) -> None:
+        perceive_rings(mol)
+        assert_sssr_like_oracle(mol)
 
 
 group_name = st.from_regex(r"[a-z]{1,12}", fullmatch=True)
