@@ -90,6 +90,8 @@ class TestDiagnostics:
             ("C%()CC1", DiagnosticKind.UNKNOWN_ELEMENT, 1),
             ("C%(123456)CC%(123456)", DiagnosticKind.UNKNOWN_ELEMENT, 1),
             ("C\u00b2CC\u00b2", DiagnosticKind.UNKNOWN_ELEMENT, 1),
+            ("C1C1", DiagnosticKind.UNCLOSED_RING, 3),
+            ("C(C1)1", DiagnosticKind.UNCLOSED_RING, 5),
         ],
     )
     def test_kind_and_position(
@@ -194,6 +196,19 @@ class TestWriter:
         ],
     )
     def test_conventional_forms(self, smiles: str, expected: str) -> None:
+        assert write(parse_strict(smiles)) == expected
+
+    @pytest.mark.parametrize(
+        "smiles,expected",
+        [
+            # A ring bond takes its direction from either end.
+            ("C-1CCCCC/1", "C/1CCCCC\\1"),
+            ("C1CCCCC/1", "C/1CCCCC\\1"),
+            # A number closed at an atom is not reused by a ring opened there.
+            ("C1CC12CC2", "C1CC12CC2"),
+        ],
+    )
+    def test_ring_bond_numbers_and_directions(self, smiles: str, expected: str) -> None:
         assert write(parse_strict(smiles)) == expected
 
     def test_chiral_tag_without_recorded_order_is_kept(self) -> None:
