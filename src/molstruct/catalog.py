@@ -46,6 +46,7 @@ from typing import Callable, Iterable
 from .elements import SYMBOL_TO_NUMBER
 from .errors import CatalogError
 from .graph import BondOrder, Molecule, Ring
+from .smiles import ParseDiagnostic, parse
 
 HALOGENS = frozenset({"F", "Cl", "Br", "I"})
 
@@ -471,8 +472,6 @@ class Catalog:
         Raises:
             CatalogError: Malformed line, pattern, or ring SMILES.
         """
-        from .smiles import parse, ParseDiagnostic
-
         groups: list[GroupPattern] = []
         rings: dict[tuple, str] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):

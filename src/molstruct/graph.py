@@ -204,6 +204,39 @@ class Molecule:
         return out
 
 
+def chirality_in_order(atom: Atom, order: list[int]) -> Chirality:
+    """``atom``'s chirality tag for its neighbors listed in ``order``.
+
+    The tag is read against ``atom.stereo_order``. An odd permutation
+    from that order to ``order`` swaps ``@`` and ``@@``, and an even one
+    keeps the tag. Repeated entries, such as two H_BRANCH hydrogens, are
+    matched left to right. The tag comes back unchanged when no order
+    was recorded, or when ``order`` does not rearrange the recorded one.
+    The writer calls this for the order it writes, and CIP ranking for
+    the order lowest priority first.
+    """
+    recorded = atom.stereo_order
+    if atom.chirality is Chirality.NONE or not recorded or sorted(recorded) != sorted(order):
+        return atom.chirality
+    remaining: list[object] = list(order)
+    perm: list[int] = []
+    for item in recorded:
+        slot = remaining.index(item)
+        remaining[slot] = None  # consume duplicates left to right
+        perm.append(slot)
+    swaps = 0
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], perm[i]
+            swaps += 1
+    if swaps % 2 == 0:
+        return atom.chirality
+    if atom.chirality is Chirality.ANTICLOCKWISE:
+        return Chirality.CLOCKWISE
+    return Chirality.ANTICLOCKWISE
+
+
 def _charge_shifted(valence: int, atom: Atom) -> int:
     """``valence`` after ``atom``'s charge shift.
 

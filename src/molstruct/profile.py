@@ -38,9 +38,10 @@ from .graph import (
     Chirality,
     Molecule,
     aromatic_neighbor_mean,
+    chirality_in_order,
     perceive,
 )
-from .smiles import _permutation_parity, canonical_order
+from .smiles import canonical_order
 
 _CIP_MAX_SPHERES = 16
 WEIGHT_RATIO_LOW = 0.95
@@ -263,27 +264,14 @@ def chiral_centers(mol: Molecule) -> list[tuple[int, Configuration]]:
     """
     centers: list[tuple[int, Configuration]] = []
     for atom in mol.atoms:
-        if atom.chirality is Chirality.NONE:
+        if atom.chirality is Chirality.NONE or len(atom.stereo_order) != 4:
             continue
-        recorded = list(atom.stereo_order)
-        if len(recorded) != 4:
-            continue
-        keys = {
-            branch: _branch_spheres(mol, atom.index, branch) for branch in set(recorded)
-        }
-        ranked = sorted(set(recorded), key=lambda b: keys[b], reverse=True)
-        if len(set(keys.values())) != len(keys) or len(ranked) != 4:
+        keys = {b: _branch_spheres(mol, atom.index, b) for b in set(atom.stereo_order)}
+        if len(set(keys.values())) != 4:
             centers.append((atom.index, Configuration.UNRESOLVED))
             continue
-        p1, p2, p3, p4 = ranked
-        parity = _permutation_parity(recorded, [p4, p1, p2, p3])
-        tag = atom.chirality
-        if parity:
-            tag = (
-                Chirality.CLOCKWISE
-                if tag is Chirality.ANTICLOCKWISE
-                else Chirality.ANTICLOCKWISE
-            )
+        p1, p2, p3, p4 = sorted(keys, key=keys.__getitem__, reverse=True)
+        tag = chirality_in_order(atom, [p4, p1, p2, p3])
         centers.append(
             (atom.index, Configuration.R if tag is Chirality.ANTICLOCKWISE else Configuration.S)
         )

@@ -56,16 +56,11 @@ def matching_ratio(
     per_component = {
         kind: scores.get(kind, 0.0) for kind in CANONICAL_ORDER if kind in rationale.mask
     }
-    if weights is None:
-        overall = sum(per_component.values()) / len(per_component)
-    else:
-        total = sum(weights.get(kind, 1.0) for kind in per_component)
-        if total <= 0:
-            raise ValueError("component weights must sum to a positive value")
-        overall = (
-            sum(score * weights.get(kind, 1.0) for kind, score in per_component.items())
-            / total
-        )
+    weights = weights or {}
+    total = sum(weights.get(kind, 1.0) for kind in per_component)
+    if total <= 0:
+        raise ValueError("component weights must sum to a positive value")
+    overall = sum(score * weights.get(kind, 1.0) for kind, score in per_component.items()) / total
     return overall, per_component
 
 

@@ -14,6 +14,8 @@ on arbitrary input.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
 import re
 from dataclasses import dataclass
@@ -33,6 +35,7 @@ from .graph import (
     Chirality,
     Molecule,
     _bare_hydrogens,
+    chirality_in_order,
     perceive,
 )
 
@@ -226,52 +229,6 @@ def _parse_bracket(token: SmilesToken) -> Atom | ParseDiagnostic:
     )
 
 
-@dataclass(slots=True)
-class _PendingBond:
-    order: BondOrder
-    direction: str | None
-    position: int
-
-
-class _Builder:
-    """Accumulates atoms/bonds and the stereo neighbor bookkeeping."""
-
-    def __init__(self) -> None:
-        self.atoms: list[Atom] = []
-        self.bonds: list[Bond] = []
-        self.stereo: dict[int, list[object]] = {}
-        self.bond_keys: set[tuple[int, int]] = set()
-
-    def add_atom(self, atom: Atom) -> int:
-        idx = len(self.atoms)
-        atom.index = idx
-        self.atoms.append(atom)
-        order: list[object] = []
-        if atom.chirality is not Chirality.NONE:
-            self.stereo[idx] = order
-        return idx
-
-    def note_neighbor(self, of: int, entry: object) -> None:
-        if of in self.stereo:
-            self.stereo[of].append(entry)
-
-    def fill_ring_slot(self, of: int, ring_number: int, neighbor: int) -> None:
-        if of in self.stereo:
-            slots = self.stereo[of]
-            for k, entry in enumerate(slots):
-                if entry == ("ring", ring_number):
-                    slots[k] = neighbor
-                    return
-
-    def add_bond(self, a: int, b: int, order: BondOrder, direction: str | None) -> bool:
-        key = (min(a, b), max(a, b))
-        if a == b or key in self.bond_keys:
-            return False
-        self.bond_keys.add(key)
-        self.bonds.append(Bond(a=a, b=b, order=order, direction=direction))
-        return True
-
-
 def parse(text: str) -> Molecule | ParseDiagnostic:
     """Parse SMILES text into a perceived molecule.
 
@@ -297,13 +254,21 @@ def _parse_stripped(text: str, base: int) -> Molecule | ParseDiagnostic:
     def diag(kind: DiagnosticKind, message: str, position: int) -> ParseDiagnostic:
         return ParseDiagnostic(kind, message, base + position)
 
-    builder = _Builder()
+    atoms: list[Atom] = []
+    bonds: list[Bond] = []
+    # (low, high) atom pairs already bonded, so that a ring closure that
+    # repeats one gets a positioned diagnostic.  After a branch closes, the
+    # closing atom can be the lower one, as in ``C(C1)1``.
+    bonded: set[tuple[int, int]] = set()
+    # Chiral atom -> neighbors in written order; ("ring", n) keeps the
+    # place of ring bond n until it closes.
+    stereo: dict[int, list] = {}
     prev: int | None = None
-    pending: _PendingBond | None = None
+    pending: SmilesToken | None = None  # bond symbol awaiting its second atom
     # (anchor atom, atom count at open, position of '(')
     branch_stack: list[tuple[int, int, int]] = []
-    # open ring number -> (atom, order, direction, position)
-    open_rings: dict[int, tuple[int, BondOrder | None, str | None, int]] = {}
+    # open ring number -> (atom, bond symbol, position)
+    open_rings: dict[int, tuple[int, SmilesToken | None, int]] = {}
     last_was_dot = False
 
     for token in tokenize(text):
@@ -331,17 +296,22 @@ def _parse_stripped(text: str, base: int) -> Molecule | ParseDiagnostic:
                     return ParseDiagnostic(result.kind, result.message, base + result.position)
                 atom = result
                 atom.position = base + token.position
-            idx = builder.add_atom(atom)
+            idx = len(atoms)
+            atoms.append(atom)
+            if atom.chirality is not Chirality.NONE:
+                stereo[idx] = []
             if prev is not None:
-                order, direction = _resolve_order(pending, builder.atoms[prev], atom)
-                builder.add_bond(prev, idx, order, direction)
-                builder.note_neighbor(prev, idx)
-                builder.note_neighbor(idx, prev)
+                order, direction = _resolve_order(pending, atoms[prev], atom)
+                bonded.add((prev, idx))
+                bonds.append(Bond(a=prev, b=idx, order=order, direction=direction))
+                if prev in stereo:
+                    stereo[prev].append(idx)
+                if idx in stereo:
+                    stereo[idx].append(prev)
             # A bracket hydrogen on a chiral atom occupies the neighbor slot
             # right after the incoming bond.
-            if atom.chirality is not Chirality.NONE and atom.explicit_h:
-                for _ in range(atom.explicit_h):
-                    builder.note_neighbor(idx, H_BRANCH)
+            if idx in stereo:
+                stereo[idx].extend([H_BRANCH] * atom.explicit_h)
             pending = None
             prev = idx
             last_was_dot = False
@@ -360,11 +330,7 @@ def _parse_stripped(text: str, base: int) -> Molecule | ParseDiagnostic:
                     "two bond symbols in a row",
                     token.position,
                 )
-            pending = _PendingBond(
-                order=_BOND_ORDER_FOR_CHAR[token.text],
-                direction=token.text if token.text in ("/", "\\") else None,
-                position=token.position,
-            )
+            pending = token
             continue
 
         if kind is TokenKind.DOT:
@@ -399,40 +365,44 @@ def _parse_stripped(text: str, base: int) -> Molecule | ParseDiagnostic:
                 )
             key = int(token.text.strip("%()"))
             if key in open_rings:
-                other, open_order, open_dir, open_pos = open_rings.pop(key)
+                other, open_bond, _ = open_rings.pop(key)
                 if other == prev:
                     return diag(
                         DiagnosticKind.UNCLOSED_RING,
                         "ring closure bonds an atom to itself",
                         token.position,
                     )
-                close_order = pending.order if pending else None
-                close_dir = pending.direction if pending else None
-                if open_order is not None and close_order is not None and open_order != close_order:
+                # Either end may spell the bond.  Two spellings must agree
+                # on the order, and the opening end's direction comes first.
+                order, direction = _resolve_order(open_bond or pending, atoms[other], atoms[prev])
+                close_order, close_direction = _resolve_order(
+                    pending or open_bond, atoms[other], atoms[prev]
+                )
+                if order is not close_order:
                     return diag(
                         DiagnosticKind.UNCLOSED_RING,
                         "ring closure bond symbols disagree",
                         token.position,
                     )
-                order = open_order if open_order is not None else close_order
-                if order is None:
-                    order, _ = _resolve_order(None, builder.atoms[other], builder.atoms[prev])
-                if not builder.add_bond(other, prev, order, open_dir or close_dir):
+                pair = (other, prev) if other < prev else (prev, other)
+                if pair in bonded:
                     return diag(
                         DiagnosticKind.UNCLOSED_RING,
                         "ring closure duplicates an existing bond",
                         token.position,
                     )
-                builder.fill_ring_slot(other, key, prev)
-                builder.note_neighbor(prev, other)
+                bonded.add(pair)
+                direction = direction or close_direction
+                bonds.append(Bond(a=other, b=prev, order=order, direction=direction))
+                if other in stereo:
+                    slots = stereo[other]
+                    slots[slots.index(("ring", key))] = prev
+                if prev in stereo:
+                    stereo[prev].append(other)
             else:
-                open_rings[key] = (
-                    prev,
-                    pending.order if pending else None,
-                    pending.direction if pending else None,
-                    token.position,
-                )
-                builder.note_neighbor(prev, ("ring", key))
+                open_rings[key] = (prev, pending, token.position)
+                if prev in stereo:
+                    stereo[prev].append(("ring", key))
             pending = None
             continue
 
@@ -449,7 +419,7 @@ def _parse_stripped(text: str, base: int) -> Molecule | ParseDiagnostic:
                     "bond symbol before a branch open",
                     token.position,
                 )
-            branch_stack.append((prev, len(builder.atoms), token.position))
+            branch_stack.append((prev, len(atoms), token.position))
             continue
 
         if kind is TokenKind.BRANCH_CLOSE:
@@ -466,7 +436,7 @@ def _parse_stripped(text: str, base: int) -> Molecule | ParseDiagnostic:
                     token.position,
                 )
             anchor, count_at_open, _ = branch_stack.pop()
-            if len(builder.atoms) == count_at_open:
+            if len(atoms) == count_at_open:
                 return diag(DiagnosticKind.UNBALANCED_BRANCH, "empty branch", token.position)
             prev = anchor
             continue
@@ -478,29 +448,27 @@ def _parse_stripped(text: str, base: int) -> Molecule | ParseDiagnostic:
             branch_stack[0][2],
         )
     if open_rings:
-        first = min(open_rings.values(), key=lambda item: item[3])
-        return diag(DiagnosticKind.UNCLOSED_RING, "ring closure was never matched", first[3])
+        first = min(position for _, _, position in open_rings.values())
+        return diag(DiagnosticKind.UNCLOSED_RING, "ring closure was never matched", first)
     if pending is not None:
         return diag(DiagnosticKind.UNKNOWN_ELEMENT, "dangling bond symbol", pending.position)
     if last_was_dot:
         return diag(DiagnosticKind.UNKNOWN_ELEMENT, "dot with no following atom", len(text) - 1)
 
-    for idx, order in builder.stereo.items():
-        builder.atoms[idx].stereo_order = tuple(
-            entry if isinstance(entry, int) else H_BRANCH for entry in order
-        )
+    # Every ("ring", n) place was filled when ring bond n closed.
+    for idx, neighbors in stereo.items():
+        atoms[idx].stereo_order = tuple(neighbors)
 
     try:
-        return perceive(Molecule(builder.atoms, builder.bonds))
+        return perceive(Molecule(atoms, bonds))
     except (ValenceError, AromaticityError) as exc:
         return ParseDiagnostic(DiagnosticKind.VALENCE_VIOLATION, str(exc), max(exc.position, 0))
 
 
-def _resolve_order(
-    pending: _PendingBond | None, a: Atom, b: Atom
-) -> tuple[BondOrder, str | None]:
-    if pending is not None:
-        return pending.order, pending.direction
+def _resolve_order(bond: SmilesToken | None, a: Atom, b: Atom) -> tuple[BondOrder, str | None]:
+    """Order and direction of a bond spelled by ``bond``, or left unspelled."""
+    if bond is not None:
+        return _BOND_ORDER_FOR_CHAR[bond.text], bond.text if bond.text in "/\\" else None
     if a.written_aromatic and b.written_aromatic:
         return BondOrder.AROMATIC, None
     return BondOrder.SINGLE, None
@@ -554,40 +522,9 @@ def _atom_text(mol: Molecule, atom: Atom, out_stereo: Chirality) -> str:
     return "".join(parts)
 
 
-def _permutation_parity(source: list[int], target: list[int]) -> int:
-    """0 for even, 1 for odd; lists must be rearrangements of each other."""
-    remaining = list(target)
-    perm: list[int] = []
-    for item in source:
-        slot = remaining.index(item)
-        remaining[slot] = object()  # consume duplicates left to right
-        perm.append(slot)
-    swaps = 0
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            swaps += 1
-    return swaps % 2
-
-
-def _output_stereo(atom: Atom, out_order: list[int]) -> Chirality:
-    """Chirality tag adjusted from recorded neighbor order to output order."""
-    if atom.chirality is Chirality.NONE:
-        return Chirality.NONE
-    recorded = list(atom.stereo_order)
-    if not recorded or sorted(recorded) != sorted(out_order):
-        return atom.chirality
-    if _permutation_parity(recorded, out_order) == 0:
-        return atom.chirality
-    return (
-        Chirality.CLOCKWISE
-        if atom.chirality is Chirality.ANTICLOCKWISE
-        else Chirality.ANTICLOCKWISE
-    )
-
-
-def _bond_text(mol: Molecule, bond: Bond, from_atom: int, to_atom: int) -> str:
+def _bond_text(mol: Molecule, from_atom: int, to_atom: int) -> str:
+    bond = mol.bond_between(from_atom, to_atom)
+    assert bond is not None
     if bond.direction is not None and bond.order is BondOrder.SINGLE:
         return bond.direction if bond.a == from_atom else ("\\" if bond.direction == "/" else "/")
     a = mol.atoms[from_atom]
@@ -610,12 +547,22 @@ def _ring_number_text(number: int) -> str:
 
 
 def _write_component(mol: Molecule, start: int, key) -> tuple[str, list[int]]:
-    """One component as (SMILES text, atom emission order), visiting by ``key``."""
+    """One component as (SMILES text, atom emission order), visiting by ``key``.
+
+    A depth-first walk from ``start``, taking neighbors in ``key`` order,
+    records each atom's ring bonds to earlier atoms, in the order it meets
+    them, and to later atoms.  Atoms are then written in walk order, and
+    ring bond numbers are handed out as they are written: an atom first
+    closes its ring bonds to earlier atoms, then opens those to later
+    atoms in the partners' walk order, each with the lowest free number.
+    A number closed at an atom is free again only after that atom, so no
+    atom writes one number twice.
+    """
     parent: dict[int, int] = {start: -1}
     order: list[int] = [start]
     children: dict[int, list[int]] = {start: []}
-    closures: dict[int, list[int]] = {}
-    closure_bonds: list[tuple[int, int]] = []
+    earlier: dict[int, list[int]] = {}
+    later: dict[int, list[int]] = {}
     emit_rank = {start: 0}
     # Lazy depth-first walk: a neighbor still unvisited when the walk
     # returns to ``cur`` has been reached some other way, so the bond
@@ -630,9 +577,8 @@ def _write_component(mol: Molecule, start: int, key) -> tuple[str, list[int]]:
             pos += 1
             if nxt in emit_rank:
                 if emit_rank[nxt] < emit_rank[cur] and nxt != parent[cur]:
-                    closure_bonds.append((cur, nxt))
-                    closures.setdefault(cur, []).append(nxt)
-                    closures.setdefault(nxt, []).append(cur)
+                    earlier.setdefault(cur, []).append(nxt)
+                    later.setdefault(nxt, []).append(cur)
                 continue
             emit_rank[nxt] = len(order)
             parent[nxt] = cur
@@ -643,84 +589,40 @@ def _write_component(mol: Molecule, start: int, key) -> tuple[str, list[int]]:
             stack.append((nxt, sorted(mol.neighbors(nxt), key=key), 0))
             break
 
-    # Assign ring-closure numbers in emission order, lowest free number first.
-    digit_of: dict[tuple[int, int], int] = {}
-    events: dict[int, list[tuple[int, int]]] = {}
-    for a, b in closure_bonds:
-        first, second = (a, b) if emit_rank[a] < emit_rank[b] else (b, a)
-        events.setdefault(first, []).append((emit_rank[second], second))
-    free: list[int] = []  # released numbers, all below ``unused``
-    unused = 1
-    close_at: dict[int, list[int]] = {}
-    for atom in order:
-        for _, partner in sorted(events.get(atom, [])):
-            if free:
-                digit = min(free)
-                free.remove(digit)
-            else:
-                digit = unused
-                unused += 1
-            digit_of[(atom, partner)] = digit
-            digit_of[(partner, atom)] = digit
-            close_at.setdefault(partner, []).append(digit)
-        free.extend(close_at.get(atom, []))
-
-    def closure_text(atom: int) -> tuple[str, list[int]]:
-        """Digit text emitted right after ``atom`` plus its closure partners in slot order."""
-        opens = [(digit_of[(atom, p)], p) for _, p in sorted(events.get(atom, []))]
-        closes = [
-            (digit_of[(atom, p)], p)
-            for p in closures.get(atom, [])
-            if emit_rank[p] < emit_rank[atom]
-        ]
-        text = []
-        partners = []
-        for digit, partner in closes + opens:
-            bond = mol.bond_between(atom, partner)
-            assert bond is not None
-            text.append(_bond_text(mol, bond, atom, partner))
-            text.append(_ring_number_text(digit))
-            partners.append(partner)
-        return "".join(text), partners
-
     pieces: list[str] = []
-
-    # Iterative emission to survive long chains.
-    def emit_iterative(root: int) -> None:
-        work: list[object] = [("atom", root)]
-        while work:
-            item = work.pop()
-            if isinstance(item, str):
-                pieces.append(item)
-                continue
-            _, atom = item
-            closure_str, closure_partners = closure_text(atom)
-            record = mol.atoms[atom]
-            out_order = []
-            if parent[atom] != -1:
-                out_order.append(parent[atom])
-            if record.chirality is not Chirality.NONE:
-                out_order.extend(H_BRANCH for _ in range(record.total_h))
-            out_order.extend(closure_partners)
-            out_order.extend(children[atom])
-            pieces.append(_atom_text(mol, record, _output_stereo(record, out_order)))
-            pieces.append(closure_str)
-            kids = children[atom]
-            tail: list[object] = []
-            for i, kid in enumerate(kids):
-                bond = mol.bond_between(atom, kid)
-                assert bond is not None
-                bond_str = _bond_text(mol, bond, atom, kid)
-                if i < len(kids) - 1:
-                    tail.append("(" + bond_str)
-                    tail.append(("atom", kid))
-                    tail.append(")")
-                else:
-                    tail.append(bond_str)
-                    tail.append(("atom", kid))
-            work.extend(reversed(tail))
-
-    emit_iterative(start)
+    number: dict[tuple[int, int], int] = {}  # (later, earlier atom) -> open ring number
+    free: list[int] = []  # heap of closed numbers, all below the next fresh one
+    fresh = itertools.count(1)
+    # Atoms to write and the text between them, on a stack to survive long chains.
+    work: list[int | str] = [start]
+    while work:
+        atom = work.pop()
+        if isinstance(atom, str):
+            pieces.append(atom)
+            continue
+        closes = earlier.get(atom, [])
+        opens = sorted(later.get(atom, []), key=emit_rank.__getitem__)
+        record = mol.atoms[atom]
+        tag = record.chirality
+        if tag is not Chirality.NONE:
+            around = [parent[atom]] if parent[atom] != -1 else []
+            around += [H_BRANCH] * record.total_h + closes + opens + children[atom]
+            tag = chirality_in_order(record, around)
+        pieces.append(_atom_text(mol, record, tag))
+        closed = []
+        for partner in closes:
+            closed.append(number.pop((atom, partner)))
+            pieces.append(_bond_text(mol, atom, partner) + _ring_number_text(closed[-1]))
+        for partner in opens:
+            digit = number[(partner, atom)] = heapq.heappop(free) if free else next(fresh)
+            pieces.append(_bond_text(mol, atom, partner) + _ring_number_text(digit))
+        for digit in closed:
+            heapq.heappush(free, digit)
+        kids = children[atom]
+        if kids:
+            work += [kids[-1], _bond_text(mol, atom, kids[-1])]
+        for kid in reversed(kids[:-1]):
+            work += [")", kid, "(" + _bond_text(mol, atom, kid)]
     return "".join(pieces), order
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from molstruct.errors import EmptyRationaleError
 from molstruct.profile import Configuration, StructuralProfile, extract_profile
-from molstruct.rationale import ComponentKind, Rationale, from_profile
+from molstruct.rationale import ComponentKind, Rationale, from_profile, parse_rationale
 from molstruct.selection import matching_ratio, select
 from molstruct.smiles import parse_strict
 
@@ -70,6 +70,13 @@ class TestMatchingRatio:
         # candidate / claimed at exactly 1.049 passes, 1.051 fails
         assert matching_ratio(weight_claim(100.0), profile_with_weight(104.9))[0] == 1.0
         assert matching_ratio(weight_claim(100.0), profile_with_weight(105.1))[0] == 0.0
+
+    def test_zero_weight_claim_scores_zero_without_dividing(self) -> None:
+        rationale = parse_rationale("The molecular weight is 0.0 g/mol.")
+        assert rationale.mask == {K.MOLECULAR_WEIGHT}
+        overall, per_component = matching_ratio(rationale, parse_strict("C"))
+        assert per_component == {K.MOLECULAR_WEIGHT: 0.0}
+        assert overall == 0.0
 
     def test_iupac_name_scores_zero(self) -> None:
         rationale = Rationale(
