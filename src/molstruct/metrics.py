@@ -21,7 +21,7 @@ from .errors import EmptyRationaleError, WidthMismatchError
 from .graph import Molecule
 from .profile import CANONICAL_ORDER, ComponentKind, StructuralProfile, score_claims
 from .rationale import Rationale
-from .smiles import canonicalize, parse
+from .smiles import parse, same_canonical
 
 BLEU_MAX_ORDER = 4
 DEFAULT_FP_RADIUS = 2
@@ -322,8 +322,13 @@ def compare_pair(gold: str, predicted: str) -> ComparisonRecord:
     """Grade one predicted SMILES against its gold string.
 
     Exact match compares canonical forms, so any two spellings of the
-    same structure count as exact.  Edit distance and BLEU use the raw
-    strings.  Fingerprint similarity is 0 when either side fails to
+    same structure count as exact.  Two molecules whose atom counts, bond
+    counts or sorted atom invariants (element, charge, degree, hydrogens,
+    aromaticity, isotope) differ are told apart without canonicalizing.
+    Edit distance and BLEU use the raw strings.  Fingerprint similarity
+    is 1.0 on an exact match without computing fingerprints: equal
+    canonical forms are the same graph with the same perception, which
+    is all the fingerprint reads.  It is 0 when either side fails to
     parse; validity reflects the predicted string only.
     """
     gold_mol = parse(gold)
@@ -333,8 +338,10 @@ def compare_pair(gold: str, predicted: str) -> ComparisonRecord:
     exact = False
     similarity = 0.0
     if gold_ok and pred_ok:
-        exact = canonicalize(gold_mol) == canonicalize(pred_mol)
-        similarity = tanimoto(morgan_fingerprint(gold_mol), morgan_fingerprint(pred_mol))
+        exact = same_canonical(gold_mol, pred_mol)
+        similarity = 1.0 if exact else tanimoto(
+            morgan_fingerprint(gold_mol), morgan_fingerprint(pred_mol)
+        )
     return ComparisonRecord(
         valid=pred_ok,
         exact=exact,

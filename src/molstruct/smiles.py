@@ -500,44 +500,50 @@ def _needs_bracket(mol: Molecule, atom: Atom) -> bool:
     return _bare_hydrogens(mol, atom.index, atom.is_aromatic) != atom.total_h
 
 
-def _atom_text(mol: Molecule, atom: Atom, out_stereo: Chirality) -> str:
-    symbol = atom.element.lower() if atom.is_aromatic else atom.element
-    if not _needs_bracket(mol, atom):
-        return symbol
-    parts = ["["]
-    if atom.isotope is not None:
-        parts.append(str(atom.isotope))
-    parts.append(symbol)
-    if out_stereo is not Chirality.NONE:
-        parts.append(out_stereo.value)
-    hydrogens = atom.total_h
-    if hydrogens == 1:
-        parts.append("H")
-    elif hydrogens > 1:
-        parts.append(f"H{hydrogens}")
-    if atom.charge:
-        sign = "+" if atom.charge > 0 else "-"
-        parts.append(sign if abs(atom.charge) == 1 else f"{sign}{abs(atom.charge)}")
-    parts.append("]")
-    return "".join(parts)
+_BOND_SYMBOL = {
+    BondOrder.SINGLE: "-",
+    BondOrder.DOUBLE: "=",
+    BondOrder.TRIPLE: "#",
+    BondOrder.AROMATIC: ":",
+}
+_TAGS = (Chirality.CLOCKWISE, Chirality.ANTICLOCKWISE)
 
 
-def _bond_text(mol: Molecule, from_atom: int, to_atom: int) -> str:
-    bond = mol.bond_between(from_atom, to_atom)
-    assert bond is not None
-    if bond.direction is not None and bond.order is BondOrder.SINGLE:
-        return bond.direction if bond.a == from_atom else ("\\" if bond.direction == "/" else "/")
-    a = mol.atoms[from_atom]
-    b = mol.atoms[to_atom]
-    default = BondOrder.AROMATIC if (a.is_aromatic and b.is_aromatic) else BondOrder.SINGLE
-    if bond.order is default:
-        return ""
-    return {
-        BondOrder.SINGLE: "-",
-        BondOrder.DOUBLE: "=",
-        BondOrder.TRIPLE: "#",
-        BondOrder.AROMATIC: ":",
-    }[bond.order]
+def _writer_texts(mol: Molecule) -> tuple[list, list[dict[int, str]]]:
+    """Every atom's text and every directed bond's text, built once per write.
+
+    An untagged atom's entry is its text.  A chirality-tagged atom's entry
+    maps each output tag to its text, since only the tag depends on the
+    order written.  ``bond_texts[i][j]`` is the bond symbol written from
+    atom ``i`` to its neighbor ``j``.
+    """
+    atom_texts: list = []
+    for atom in mol.atoms:
+        symbol = atom.element.lower() if atom.is_aromatic else atom.element
+        if not _needs_bracket(mol, atom):
+            atom_texts.append(symbol)
+            continue
+        head = f"[{'' if atom.isotope is None else atom.isotope}{symbol}"
+        hydrogens = atom.total_h
+        tail = "H" if hydrogens == 1 else f"H{hydrogens}" if hydrogens > 1 else ""
+        if atom.charge:
+            sign = "+" if atom.charge > 0 else "-"
+            tail += sign if abs(atom.charge) == 1 else f"{sign}{abs(atom.charge)}"
+        if atom.chirality is Chirality.NONE:
+            atom_texts.append(f"{head}{tail}]")
+        else:
+            atom_texts.append({tag: f"{head}{tag.value}{tail}]" for tag in _TAGS})
+    bond_texts: list[dict[int, str]] = [{} for _ in mol.atoms]
+    for bond in mol.bonds:
+        a, b = bond.a, bond.b
+        if bond.direction is not None and bond.order is BondOrder.SINGLE:
+            bond_texts[a][b] = bond.direction
+            bond_texts[b][a] = "\\" if bond.direction == "/" else "/"
+            continue
+        aromatic = mol.atoms[a].is_aromatic and mol.atoms[b].is_aromatic
+        default = BondOrder.AROMATIC if aromatic else BondOrder.SINGLE
+        bond_texts[a][b] = bond_texts[b][a] = "" if bond.order is default else _BOND_SYMBOL[bond.order]
+    return atom_texts, bond_texts
 
 
 def _ring_number_text(number: int) -> str:
@@ -546,7 +552,7 @@ def _ring_number_text(number: int) -> str:
     return f"%{number}" if number < 100 else f"%({number})"
 
 
-def _write_component(mol: Molecule, start: int, key) -> tuple[str, list[int]]:
+def _write_component(mol: Molecule, start: int, key, texts=None) -> tuple[str, list[int]]:
     """One component as (SMILES text, atom emission order), visiting by ``key``.
 
     A depth-first walk from ``start``, taking neighbors in ``key`` order,
@@ -556,8 +562,10 @@ def _write_component(mol: Molecule, start: int, key) -> tuple[str, list[int]]:
     closes its ring bonds to earlier atoms, then opens those to later
     atoms in the partners' walk order, each with the lowest free number.
     A number closed at an atom is free again only after that atom, so no
-    atom writes one number twice.
+    atom writes one number twice.  ``texts`` is the molecule's
+    :func:`_writer_texts`, built here when not given.
     """
+    atom_texts, bond_texts = texts or _writer_texts(mol)
     parent: dict[int, int] = {start: -1}
     order: list[int] = [start]
     children: dict[int, list[int]] = {start: []}
@@ -569,7 +577,7 @@ def _write_component(mol: Molecule, start: int, key) -> tuple[str, list[int]]:
     # becomes a ring closure rather than a branch.  A depth-first walk
     # meets each ring bond first from its later end, while the earlier
     # end is still open, and again from the earlier end.
-    stack: list[tuple[int, list[int], int]] = [(start, sorted(mol.neighbors(start), key=key), 0)]
+    stack: list[tuple[int, list[int], int]] = [(start, sorted(bond_texts[start], key=key), 0)]
     while stack:
         cur, nbrs, pos = stack.pop()
         while pos < len(nbrs):
@@ -586,7 +594,7 @@ def _write_component(mol: Molecule, start: int, key) -> tuple[str, list[int]]:
             children[nxt] = []
             order.append(nxt)
             stack.append((cur, nbrs, pos))
-            stack.append((nxt, sorted(mol.neighbors(nxt), key=key), 0))
+            stack.append((nxt, sorted(bond_texts[nxt], key=key), 0))
             break
 
     pieces: list[str] = []
@@ -602,34 +610,36 @@ def _write_component(mol: Molecule, start: int, key) -> tuple[str, list[int]]:
             continue
         closes = earlier.get(atom, [])
         opens = sorted(later.get(atom, []), key=emit_rank.__getitem__)
-        record = mol.atoms[atom]
-        tag = record.chirality
-        if tag is not Chirality.NONE:
+        text = atom_texts[atom]
+        if not isinstance(text, str):
+            record = mol.atoms[atom]
             around = [parent[atom]] if parent[atom] != -1 else []
             around += [H_BRANCH] * record.total_h + closes + opens + children[atom]
-            tag = chirality_in_order(record, around)
-        pieces.append(_atom_text(mol, record, tag))
+            text = text[chirality_in_order(record, around)]
+        pieces.append(text)
+        bonds = bond_texts[atom]
         closed = []
         for partner in closes:
             closed.append(number.pop((atom, partner)))
-            pieces.append(_bond_text(mol, atom, partner) + _ring_number_text(closed[-1]))
+            pieces.append(bonds[partner] + _ring_number_text(closed[-1]))
         for partner in opens:
             digit = number[(partner, atom)] = heapq.heappop(free) if free else next(fresh)
-            pieces.append(_bond_text(mol, atom, partner) + _ring_number_text(digit))
+            pieces.append(bonds[partner] + _ring_number_text(digit))
         for digit in closed:
             heapq.heappush(free, digit)
         kids = children[atom]
         if kids:
-            work += [kids[-1], _bond_text(mol, atom, kids[-1])]
+            work += [kids[-1], bonds[kids[-1]]]
         for kid in reversed(kids[:-1]):
-            work += [")", kid, "(" + _bond_text(mol, atom, kid)]
+            work += [")", kid, "(" + bonds[kid]]
     return "".join(pieces), order
 
 
 def _write_by_key(mol: Molecule, key) -> str:
     """Every component walked by ``key``, each from its lowest-keyed atom, in key order."""
     starts = sorted((min(comp, key=key) for comp in mol.components()), key=key)
-    return ".".join(_write_component(mol, start, key)[0] for start in starts)
+    texts = _writer_texts(mol)
+    return ".".join(_write_component(mol, start, key, texts)[0] for start in starts)
 
 
 def write(mol: Molecule) -> str:
@@ -755,6 +765,7 @@ def _component_min_string(
     comp: list[int],
     ranks: list[int],
     adjacency: list[list[tuple[int, int]]],
+    texts: tuple[list, list[dict[int, str]]],
 ) -> tuple[str, list[int]]:
     """Smallest string of the tie-break search over one component, with its atom order.
 
@@ -777,7 +788,7 @@ def _component_min_string(
 
     def leaf(ranks: list[int]) -> tuple[str, list[int]]:
         nonlocal first, best
-        result = _write_component(mol, min(comp, key=ranks.__getitem__), key=ranks.__getitem__)
+        result = _write_component(mol, min(comp, key=ranks.__getitem__), ranks.__getitem__, texts)
         if first is None or best is None:
             first = best = result
             return result
@@ -826,7 +837,8 @@ def _component_min_string(
 def _canonical_parts(mol: Molecule) -> list[tuple[str, list[int]]]:
     adjacency = _bond_adjacency(mol)
     ranks = _refine(adjacency, _initial_invariants(mol))
-    parts = [_component_min_string(mol, comp, ranks, adjacency) for comp in mol.components()]
+    texts = _writer_texts(mol)
+    parts = [_component_min_string(mol, comp, ranks, adjacency, texts) for comp in mol.components()]
     parts.sort(key=lambda part: (part[0], part[1]))
     return parts
 
@@ -846,6 +858,21 @@ def canonicalize(mol: Molecule) -> str:
     writes rather than a doubling.
     """
     return ".".join(part[0] for part in _canonical_parts(mol))
+
+
+def same_canonical(a: Molecule, b: Molecule) -> bool:
+    """``canonicalize(a) == canonicalize(b)``, without the tie-break search
+    when the atom counts, bond counts or sorted initial invariants differ.
+
+    Equal canonical strings imply equal invariants: the string spells each
+    atom's element, case, charge, isotope and hydrogens, and the bonds
+    that give its degree.
+    """
+    if len(a.atoms) != len(b.atoms) or len(a.bonds) != len(b.bonds):
+        return False
+    if sorted(_initial_invariants(a)) != sorted(_initial_invariants(b)):
+        return False
+    return canonicalize(a) == canonicalize(b)
 
 
 def canonical_order(mol: Molecule) -> list[int]:

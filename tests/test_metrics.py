@@ -7,8 +7,10 @@ import math
 
 import pytest
 
+from molstruct import metrics, smiles
 from molstruct.errors import EmptyRationaleError, WidthMismatchError
 from molstruct.metrics import (
+    BleuStats,
     Fingerprint,
     aggregate_accuracy,
     aggregate_comparison,
@@ -88,6 +90,10 @@ class TestBleu:
         assert corpus_bleu_from_stats([]) == 1.0
         assert corpus_bleu([""], [""]) == 1.0
         assert corpus_bleu(["x"], [""]) == 0.0
+
+    def test_no_scorable_order_scores_zero(self) -> None:
+        # candidate characters but no n-gram of any order to score
+        assert corpus_bleu_from_stats([BleuStats((0,) * 4, (0,) * 4, 3, 3)]) == 0.0
 
     def test_length_mismatch_rejected(self) -> None:
         with pytest.raises(ValueError):
@@ -290,6 +296,24 @@ class TestComparePair:
         record = compare_pair("CCO", "CCN")
         assert not record.exact
         assert 0.0 < record.morgan_similarity < 1.0
+
+    def test_different_invariants_skip_the_tie_break_search(self, monkeypatch) -> None:
+        def fail(*args, **kwargs):
+            raise AssertionError("tie-break search ran")
+
+        monkeypatch.setattr(smiles, "_component_min_string", fail)
+        record = compare_pair("CCO", "CCCN")
+        assert not record.exact
+        assert 0.0 < record.morgan_similarity < 1.0
+
+    def test_exact_match_skips_fingerprints(self, monkeypatch) -> None:
+        def fail(*args, **kwargs):
+            raise AssertionError("fingerprint computed")
+
+        monkeypatch.setattr(metrics, "morgan_fingerprint", fail)
+        record = compare_pair("OC(=O)[C@@H](N)C", "C[C@H](N)C(O)=O")
+        assert record.exact
+        assert record.morgan_similarity == 1.0
 
 
 class TestAggregateComparison:

@@ -33,6 +33,7 @@ from molstruct.smiles import (
     parse,
     parse_strict,
     random_equivalent,
+    same_canonical,
 )
 
 from _oracles import isomorphic_oracle, levenshtein_oracle, longest_chain_oracle, sssr_oracle
@@ -362,6 +363,27 @@ class TestCanonicalIsomorphism:
         other = _spec_molecule(data.draw(st.sampled_from(edits)))
         same = canonicalize(other) == canonicalize(mol)
         assert same == isomorphic_oracle(other, mol), (spec.smiles(), canonicalize(other))
+
+    @given(molecule_specs(), molecule_specs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_canonical_is_equality_of_canonical_forms(
+        self, spec: MoleculeSpec, unrelated: MoleculeSpec, data: st.DataObject
+    ) -> None:
+        """Against an unrelated molecule, the stereo flip of every tag, one
+        mutant and one respelling."""
+        mol = parse(spec.smiles())
+        assume(isinstance(mol, Molecule))
+        flipped = {i: "@" if tag == "@@" else "@@" for i, tag in spec.tags.items()}
+        others = [unrelated.smiles(), MoleculeSpec(spec.kinds, spec.bonds, flipped, spec.ring_size).smiles()]
+        edits = mutants(spec)
+        if edits:
+            others.append(data.draw(st.sampled_from(edits)).smiles())
+        others.append(random_equivalent(mol, data.draw(st.integers(min_value=0, max_value=2**32 - 1))))
+        for text in others:
+            other = parse(text)
+            if isinstance(other, Molecule):
+                same = canonicalize(mol) == canonicalize(other)
+                assert same_canonical(mol, other) == same, (spec.smiles(), text)
 
     @given(molecule_specs())
     @settings(max_examples=300, deadline=None)

@@ -9,6 +9,7 @@ from typing import Callable
 
 import pytest
 
+from molstruct import smiles
 from molstruct.graph import Atom, Bond, Chirality, Molecule, assign_implicit_hydrogens
 from molstruct.profile import extract_profile
 from molstruct.smiles import (
@@ -332,6 +333,29 @@ class TestCanonicalScaling:
         canon = canonicalize(mol)
         assert canonicalize(parse_strict(random_equivalent(mol, 5))) == canon
         assert canonicalize(parse_strict(canon)) == canon
+
+    @pytest.mark.parametrize("text", [polyphenyl(6), isopropyl_chain(6)], ids=["polyphenyl-6", "isopropyl-chain-6"])
+    def test_bracket_decided_once_per_atom(self, text: str, monkeypatch) -> None:
+        mol = parse_strict(text)
+        calls = Counter()
+        needs_bracket = smiles._needs_bracket
+
+        def counted(mol: Molecule, atom: Atom) -> bool:
+            calls[atom.index] += 1
+            return needs_bracket(mol, atom)
+
+        monkeypatch.setattr(smiles, "_needs_bracket", counted)
+        leaves = Counter()
+        write_component = smiles._write_component
+
+        def counted_leaf(*args, **kwargs):
+            leaves["written"] += 1
+            return write_component(*args, **kwargs)
+
+        monkeypatch.setattr(smiles, "_write_component", counted_leaf)
+        canonicalize(mol)
+        assert leaves["written"] > 1
+        assert max(calls.values()) == 1 and len(calls) == len(mol.atoms)
 
     def test_stereo_tagged_oligovaline_profile_in_time(self) -> None:
         mol = parse_strict(oligovaline(20))
