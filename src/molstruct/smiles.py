@@ -506,10 +506,10 @@ _BOND_SYMBOL = {
     BondOrder.TRIPLE: "#",
     BondOrder.AROMATIC: ":",
 }
-_TAGS = (Chirality.CLOCKWISE, Chirality.ANTICLOCKWISE)
+_WriterTexts = tuple[list, list[dict[int, str]]]  # atom texts, directed bond texts
 
 
-def _writer_texts(mol: Molecule) -> tuple[list, list[dict[int, str]]]:
+def _writer_texts(mol: Molecule) -> _WriterTexts:
     """Every atom's text and every directed bond's text, built once per write.
 
     An untagged atom's entry is its text.  A chirality-tagged atom's entry
@@ -532,7 +532,8 @@ def _writer_texts(mol: Molecule) -> tuple[list, list[dict[int, str]]]:
         if atom.chirality is Chirality.NONE:
             atom_texts.append(f"{head}{tail}]")
         else:
-            atom_texts.append({tag: f"{head}{tag.value}{tail}]" for tag in _TAGS})
+            tags = (Chirality.CLOCKWISE, Chirality.ANTICLOCKWISE)
+            atom_texts.append({tag: f"{head}{tag.value}{tail}]" for tag in tags})
     bond_texts: list[dict[int, str]] = [{} for _ in mol.atoms]
     for bond in mol.bonds:
         a, b = bond.a, bond.b
@@ -552,7 +553,7 @@ def _ring_number_text(number: int) -> str:
     return f"%{number}" if number < 100 else f"%({number})"
 
 
-def _write_component(mol: Molecule, start: int, key, texts=None) -> tuple[str, list[int]]:
+def _write_component(mol: Molecule, start: int, key, texts: _WriterTexts) -> tuple[str, list[int]]:
     """One component as (SMILES text, atom emission order), visiting by ``key``.
 
     A depth-first walk from ``start``, taking neighbors in ``key`` order,
@@ -563,9 +564,9 @@ def _write_component(mol: Molecule, start: int, key, texts=None) -> tuple[str, l
     atoms in the partners' walk order, each with the lowest free number.
     A number closed at an atom is free again only after that atom, so no
     atom writes one number twice.  ``texts`` is the molecule's
-    :func:`_writer_texts`, built here when not given.
+    :func:`_writer_texts`.
     """
-    atom_texts, bond_texts = texts or _writer_texts(mol)
+    atom_texts, bond_texts = texts
     parent: dict[int, int] = {start: -1}
     order: list[int] = [start]
     children: dict[int, list[int]] = {start: []}
@@ -765,7 +766,7 @@ def _component_min_string(
     comp: list[int],
     ranks: list[int],
     adjacency: list[list[tuple[int, int]]],
-    texts: tuple[list, list[dict[int, str]]],
+    texts: _WriterTexts,
 ) -> tuple[str, list[int]]:
     """Smallest string of the tie-break search over one component, with its atom order.
 
@@ -861,8 +862,8 @@ def canonicalize(mol: Molecule) -> str:
 
 
 def same_canonical(a: Molecule, b: Molecule) -> bool:
-    """``canonicalize(a) == canonicalize(b)``, without the tie-break search
-    when the atom counts, bond counts or sorted initial invariants differ.
+    """``canonicalize(a) == canonicalize(b)``, without canonicalizing either
+    when their atom counts, bond counts or sorted initial invariants differ.
 
     Equal canonical strings imply equal invariants: the string spells each
     atom's element, case, charge, isotope and hydrogens, and the bonds

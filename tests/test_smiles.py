@@ -20,6 +20,7 @@ from molstruct.smiles import (
     _initial_invariants,
     _refine,
     _write_component,
+    _writer_texts,
     canonical_order,
     canonicalize,
     parse,
@@ -452,12 +453,13 @@ def first_cell_leaves(mol: Molecule) -> list[tuple[str, list[int]]]:
     the leaf's ranks: (string, atom emission order) pairs."""
     adjacency = _bond_adjacency(mol)
     ranks = _refine(adjacency, _initial_invariants(mol))
+    texts = _writer_texts(mol)
     leaves = []
     for comp in mol.components():
         for candidate in first_tied(ranks, set(comp)):
             leaf = first_path(adjacency, individualized(adjacency, ranks, candidate))[-1]
             start = min(comp, key=leaf.__getitem__)
-            leaves.append(_write_component(mol, start, key=leaf.__getitem__))
+            leaves.append(_write_component(mol, start, leaf.__getitem__, texts))
     return leaves
 
 
