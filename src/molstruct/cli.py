@@ -36,6 +36,12 @@ files, malformed catalog, an output file that is the input file).  When
 the reader of the output goes away, as in
 ``molstruct analyze ... | head -1``, the run stops reading, cancels the
 pool work not yet started and exits 1 without a traceback.
+
+Start-up loads only what the subcommand runs: canon imports the SMILES
+layer alone, analyze adds the profile, catalog and rationale modules,
+select adds selection, and score and compare add metrics.  A --catalog
+file is loaded, and checked, before any input is read; the built-in
+catalog loads when a record first needs it.
 """
 
 from __future__ import annotations
@@ -48,30 +54,18 @@ import sys
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from importlib import import_module
 from itertools import islice
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
-from .catalog import Catalog
 from .errors import MolstructError
 from .graph import Molecule
-from .metrics import (
-    ComparisonRecord,
-    aggregate_accuracy,
-    aggregate_comparison,
-    compare_pair,
-    score_reasoning,
-)
-from .rationale import (
-    EXTRACTABLE_KINDS,
-    ComponentKind,
-    RationaleFormat,
-    apply_reliability_mask,
-    from_profile,
-    parse_rationale,
-    render,
-)
-from .selection import select
 from .smiles import ParseDiagnostic, canonicalize, parse
+
+if TYPE_CHECKING:
+    from .catalog import Catalog
+    from .metrics import ComparisonRecord
+    from .profile import ComponentKind
 
 # Chunks in flight per worker process: enough that every worker stays busy
 # while the oldest chunk's lines are written.
@@ -102,6 +96,8 @@ class _JobConfig:
 
 @lru_cache(maxsize=8)
 def _load_catalog(path: str | None) -> Catalog:
+    from .catalog import Catalog
+
     return Catalog.default() if path is None else Catalog.from_path(path)
 
 
@@ -148,6 +144,8 @@ def _smiles_record(line: str) -> tuple[str, Molecule] | dict:
 
 
 def _analyze_record(config: _JobConfig, line: str) -> dict:
+    from .rationale import RationaleFormat, from_profile, render
+
     parsed = _smiles_record(line)
     if isinstance(parsed, dict):
         return parsed
@@ -165,6 +163,9 @@ def _canon_record(config: _JobConfig, line: str) -> dict:
 
 
 def _select_record(config: _JobConfig, line: str) -> dict:
+    from .rationale import apply_reliability_mask, parse_rationale
+    from .selection import select
+
     record = _parse_record(line, ("rationale", "candidates"))
     if isinstance(record, str):
         return {"error": "BadRecord", "message": record}
@@ -206,6 +207,9 @@ def _select_record(config: _JobConfig, line: str) -> dict:
 
 def _score_record(config: _JobConfig, line: str) -> dict[ComponentKind, float] | str:
     """One gold/rationale pair: its component scores, or why it was skipped."""
+    from .metrics import score_reasoning
+    from .rationale import apply_reliability_mask, parse_rationale
+
     record = _parse_record(line, ("smiles", "rationale"))
     if isinstance(record, str):
         return record
@@ -236,6 +240,8 @@ def _score_record(config: _JobConfig, line: str) -> dict[ComponentKind, float] |
 
 
 def _compare_record(config: _JobConfig, line: str) -> ComparisonRecord | str:
+    from .metrics import compare_pair
+
     record = _parse_record(line, ("smiles", "predicted"))
     if isinstance(record, str):
         return record
@@ -252,14 +258,15 @@ def _internal_warning(message: str) -> str:
     return f"internal error: {message}"
 
 
-# Per subcommand: the record worker, and what an unexpected exception in it
-# turns into (an output record, or a skipped-record warning).
-_SUBCOMMANDS: dict[str, tuple[Callable, Callable[[str], object]]] = {
-    "analyze": (_analyze_record, _internal_record),
-    "canon": (_canon_record, _internal_record),
-    "select": (_select_record, _internal_record),
-    "score": (_score_record, _internal_warning),
-    "compare": (_compare_record, _internal_warning),
+# Per subcommand: the record worker, what an unexpected exception in it
+# turns into (an output record, or a skipped-record warning), and the module
+# whose import loads every module the worker imports.
+_SUBCOMMANDS: dict[str, tuple[Callable, Callable[[str], object], str]] = {
+    "analyze": (_analyze_record, _internal_record, "rationale"),
+    "canon": (_canon_record, _internal_record, "smiles"),
+    "select": (_select_record, _internal_record, "selection"),
+    "score": (_score_record, _internal_warning, "metrics"),
+    "compare": (_compare_record, _internal_warning, "metrics"),
 }
 
 
@@ -324,10 +331,14 @@ def _results(task: Callable, lines: Iterator, jobs: int) -> Iterator:
             pool.shutdown(cancel_futures=True)
 
 
-def _component_list(
-    allowed: frozenset[ComponentKind],
-) -> Callable[[str], tuple[ComponentKind, ...]]:
+def _component_list(extractable_only: bool) -> Callable[[str], tuple[ComponentKind, ...]]:
+    """An argparse type for a comma-separated list of component keys: the
+    extractable ones, or every one."""
+
     def convert(text: str) -> tuple[ComponentKind, ...]:
+        from .profile import EXTRACTABLE_KINDS, ComponentKind
+
+        allowed = EXTRACTABLE_KINDS if extractable_only else frozenset(ComponentKind)
         keys = tuple(key.strip() for key in text.split(",") if key.strip())
         if not keys:
             raise argparse.ArgumentTypeError("component list is empty")
@@ -368,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(analyze)
     analyze.add_argument(
         "--components",
-        type=_component_list(EXTRACTABLE_KINDS),
+        type=_component_list(extractable_only=True),
         default=None,
         help="comma-separated component keys to include",
     )
@@ -383,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(selectp)
     selectp.add_argument(
         "--reliable",
-        type=_component_list(frozenset(ComponentKind)),
+        type=_component_list(extractable_only=False),
         default=None,
         help="trust only these rationale components",
     )
@@ -392,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(score)
     score.add_argument(
         "--components",
-        type=_component_list(frozenset(ComponentKind)),
+        type=_component_list(extractable_only=False),
         default=None,
         help="grade only these components",
     )
@@ -434,6 +445,8 @@ def _write_records(results: Iterable[dict], output: TextIO) -> int:
 def _write_report(command: str, results: Iterable, output: TextIO) -> int:
     """Fold score or compare results into one report; warn for each
     skipped record (a warning string in place of a result)."""
+    from .metrics import aggregate_accuracy, aggregate_comparison
+
     n_records = 0
     skipped = 0
 
@@ -466,7 +479,11 @@ def _run(args: argparse.Namespace, config: _JobConfig, source: BinaryIO) -> int:
     except OSError as exc:
         print(f"molstruct: cannot open output: {exc}", file=sys.stderr)
         return 2
-    worker, on_internal = _SUBCOMMANDS[args.command]
+    worker, on_internal, module = _SUBCOMMANDS[args.command]
+    if args.jobs > 1:
+        # Forked workers inherit the modules loaded here, so none of them
+        # compiles the worker's modules again.
+        import_module(f"{__package__}.{module}")
     task = partial(_guarded, worker, on_internal, config)
     results = _results(task, _input_lines(source), args.jobs)
     try:
@@ -500,11 +517,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         recall=getattr(args, "recall", False),
         reliable=getattr(args, "reliable", None),
     )
-    try:
-        _load_catalog(config.catalog_path)
-    except (MolstructError, OSError) as exc:
-        print(f"molstruct: cannot load catalog: {exc}", file=sys.stderr)
-        return 2
+    # A custom catalog is checked before any input is read; the default
+    # one loads when a record first needs it.
+    if config.catalog_path is not None:
+        try:
+            _load_catalog(config.catalog_path)
+        except (MolstructError, OSError) as exc:
+            print(f"molstruct: cannot load catalog: {exc}", file=sys.stderr)
+            return 2
 
     try:
         source = sys.stdin.buffer if args.input == "-" else open(args.input, "rb")

@@ -9,7 +9,6 @@ the molecule it received so pipelines can chain calls.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 from typing import Iterator
@@ -626,4 +625,4 @@ def aromatic_neighbor_mean(mol: Molecule, idx: int) -> float | None:
     ]
     if not numbers:
         return None
-    return statistics.fmean(numbers)
+    return sum(numbers) / len(numbers)

@@ -148,7 +148,9 @@ def morgan_fingerprint(
 
     Atom environments of radius 0..radius are hashed and folded; the
     initial invariant covers element, degree, charge, hydrogen count,
-    aromaticity, and ring membership.
+    aromaticity, ring membership and, for an atom that carries one, the
+    isotope (left out otherwise, so isotope-free fingerprints do not
+    depend on it).
 
     Args:
         mol: Fully perceived molecule.
@@ -171,6 +173,7 @@ def morgan_fingerprint(
                 atom.total_h,
                 atom.is_aromatic,
                 atom.index in ring_atoms,
+                *(() if atom.isotope is None else (atom.isotope,)),
             )
         )
         for atom in mol.atoms

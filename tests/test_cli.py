@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from molstruct import cli, extract_profile, from_profile, parse_strict, render
+from molstruct import cli, extract_profile, from_profile, metrics, parse_strict, render, selection
 from molstruct.cli import _MAX_CHUNK_RECORDS, _WINDOW_CHUNKS_PER_JOB, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -361,6 +361,16 @@ class TestInvocation:
         assert main(["analyze", "--catalog", str(bad)]) == 2
         capsys.readouterr()
 
+    def test_bad_catalog_file_fails_a_subcommand_that_never_reads_it(
+        self, tmp_path, capsys
+    ) -> None:
+        bad = tmp_path / "bad.txt"
+        bad.write_text("group | broken\n")
+        in_path = tmp_path / "in.jsonl"
+        in_path.write_text('{"smiles": "CCO"}\n')
+        assert main(["canon", "--catalog", str(bad), "--input", str(in_path)]) == 2
+        assert "cannot load catalog" in capsys.readouterr().err
+
     def test_custom_catalog(self, tmp_path, capsys) -> None:
         catalog = tmp_path / "cat.txt"
         catalog.write_text("group | hydroxyl | [O;H1;D1] | 1\n")
@@ -551,7 +561,10 @@ class TestStream:
     def test_unexpected_exception_fails_only_its_record(
         self, tmp_path, capsys, monkeypatch, command, layer, rows, jobs
     ) -> None:
-        monkeypatch.setattr(cli, layer, _raise_on_ccn(getattr(cli, layer)))
+        # cli binds parse at import; a record worker imports select and
+        # compare_pair from their modules when it runs, so they are patched there.
+        owner = {"select": selection, "compare_pair": metrics}.get(layer, cli)
+        monkeypatch.setattr(owner, layer, _raise_on_ccn(getattr(owner, layer)))
         text = "".join(json.dumps(row) + "\n" for row in rows).encode()
         code, output, err = run_cli_raw(tmp_path, [command, "--jobs", jobs], text, capsys)
         assert code == 1
@@ -642,6 +655,47 @@ class TestStream:
         )
         assert proc.returncode == 0
         assert proc.stderr == b"[]\n"
+
+    # The package modules a subcommand loads, besides cli itself.
+    SMILES_LAYER = {"elements", "errors", "graph", "smiles"}
+    ANALYSIS = SMILES_LAYER | {"catalog", "profile", "rationale"}
+    LOADED = {
+        "canon": SMILES_LAYER,
+        "analyze": ANALYSIS,
+        "select": ANALYSIS | {"selection"},
+        "score": ANALYSIS | {"metrics"},
+        "compare": ANALYSIS | {"metrics"},
+    }
+    ROWS = {
+        "canon": {"smiles": "OCC"},
+        "analyze": {"smiles": "OCC"},
+        "select": {"rationale": _ETHANOL_FORMULA, "candidates": ["OCC"]},
+        "score": {"smiles": "OCC", "rationale": _ETHANOL_FORMULA},
+        "compare": {"smiles": "OCC", "predicted": "CCO"},
+    }
+
+    @staticmethod
+    def loaded_modules(code: str, stdin: bytes = b"") -> set[str]:
+        """The molstruct submodules, other than cli, loaded after ``code``."""
+        code += (
+            "; import sys; print(' '.join(m[len('molstruct.'):] for m in sys.modules "
+            "if m.startswith('molstruct.') and m != 'molstruct.cli'), file=sys.stderr)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], input=stdin, capture_output=True, env=CLI_ENV,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stderr.decode().split())
+
+    @pytest.mark.parametrize("command", ["canon", "analyze", "select", "score", "compare"])
+    def test_subcommand_loads_only_the_modules_it_runs(self, command) -> None:
+        run = f"from molstruct.cli import main; assert main([{command!r}]) == 0"
+        stdin = json.dumps(self.ROWS[command]).encode() + b"\n"
+        assert self.loaded_modules(run, stdin) == self.LOADED[command]
+        # What the parent imports before forking --jobs workers is the same set.
+        module = cli._SUBCOMMANDS[command][2]
+        assert self.loaded_modules(f"import molstruct.cli, molstruct.{module}") == self.LOADED[command]
 
     def test_output_file_that_is_the_input_is_refused(self, tmp_path, capsys) -> None:
         path = tmp_path / "data.jsonl"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import statistics
+
 import pytest
 
 from molstruct.errors import AromaticityError, ValenceError
@@ -287,6 +289,21 @@ class TestAromaticity:
     def test_aromatic_neighbor_mean(self) -> None:
         mol = parse_strict("c1ccncc1C")
         assert [aromatic_neighbor_mean(mol, i) for i in (0, 2, 3, 6)] == [6.0, 6.5, 6.0, None]
+
+    def test_aromatic_neighbor_mean_equals_fmean_on_the_corpus(self, corpus) -> None:
+        checked = 0
+        for smiles in corpus:
+            mol = parse_strict(smiles)
+            for atom in mol.atoms:
+                if atom.is_aromatic:
+                    numbers = [
+                        mol.atoms[j].atomic_number
+                        for j, bond in mol.bonds_of(atom.index)
+                        if bond.order is BondOrder.AROMATIC
+                    ]
+                    assert aromatic_neighbor_mean(mol, atom.index) == statistics.fmean(numbers)
+                    checked += 1
+        assert checked > 100
 
     def test_exocyclic_double_does_not_count_alone(self) -> None:
         # methylenecyclohexadiene pattern stays non-aromatic

@@ -170,6 +170,14 @@ class TestFingerprints:
         ring = morgan_fingerprint(parse_strict("C1CCCCC1"), radius=0)
         assert chain.bits != ring.bits
 
+    def test_isotope_in_invariant(self) -> None:
+        methane = morgan_fingerprint(parse_strict("C"), radius=0)
+        labelled = morgan_fingerprint(parse_strict("[13CH4]"), radius=0)
+        assert methane.bits.isdisjoint(labelled.bits)
+        assert labelled == morgan_fingerprint(parse_strict("[13CH4]"), radius=0)
+        assert compare_pair("C", "[13CH4]").morgan_similarity == 0.0
+        assert compare_pair("CCO", "[13CH3]CO").morgan_similarity < 1.0
+
 
 class TestScoreReasoning:
     def test_identity_scores_all_ones(self) -> None:
