@@ -148,9 +148,12 @@ def morgan_fingerprint(
 
     Atom environments of radius 0..radius are hashed and folded; the
     initial invariant covers element, degree, charge, hydrogen count,
-    aromaticity, ring membership and, for an atom that carries one, the
-    isotope (left out otherwise, so isotope-free fingerprints do not
-    depend on it).
+    aromaticity, ring membership and, for an atom written with a nonzero
+    mass number, that number (left out otherwise, so unlabelled
+    fingerprints do not depend on it; ``[0CH4]`` counts as unlabelled).
+    RDKit adds the truncated difference between isotope mass and atomic
+    weight instead, which is 0 for 13C and 15N; the mass number tells
+    every label apart without an isotope-mass table.
 
     Args:
         mol: Fully perceived molecule.
@@ -173,7 +176,7 @@ def morgan_fingerprint(
                 atom.total_h,
                 atom.is_aromatic,
                 atom.index in ring_atoms,
-                *(() if atom.isotope is None else (atom.isotope,)),
+                *((atom.isotope,) if atom.isotope else ()),
             )
         )
         for atom in mol.atoms

@@ -177,6 +177,9 @@ class TestFingerprints:
         assert labelled == morgan_fingerprint(parse_strict("[13CH4]"), radius=0)
         assert compare_pair("C", "[13CH4]").morgan_similarity == 0.0
         assert compare_pair("CCO", "[13CH3]CO").morgan_similarity < 1.0
+        # isotope 0 is unlabelled, as in RDKit
+        assert morgan_fingerprint(parse_strict("[0CH4]"), radius=0) == methane
+        assert compare_pair("C", "[0CH4]").morgan_similarity == 1.0
 
 
 class TestScoreReasoning:
