@@ -250,9 +250,18 @@ def _charge_shifted(valence: int, atom: Atom) -> int:
     return valence
 
 
+# (element, charge) -> allowed valences after the charge shift, filled on first use.
+_ALLOWED_VALENCES: dict[tuple[str, int], tuple[int, ...]] = {}
+
+
 def _allowed_valences(atom: Atom) -> tuple[int, ...]:
     """Allowed valences for ``atom`` after its charge shift."""
-    return tuple(_charge_shifted(v, atom) for v in DEFAULT_VALENCES.get(atom.element, ()))
+    key = (atom.element, atom.charge)
+    valences = _ALLOWED_VALENCES.get(key)
+    if valences is None:
+        valences = tuple(_charge_shifted(v, atom) for v in DEFAULT_VALENCES.get(atom.element, ()))
+        _ALLOWED_VALENCES[key] = valences
+    return valences
 
 
 def _sigma_valence(mol: Molecule, idx: int) -> tuple[int, bool]:
@@ -260,12 +269,12 @@ def _sigma_valence(mol: Molecule, idx: int) -> tuple[int, bool]:
     total = 0
     has_multiple = False
     for _, bond in mol.bonds_of(idx):
-        if bond.order is BondOrder.AROMATIC:
+        order = bond.order
+        if order is BondOrder.SINGLE or order is BondOrder.AROMATIC:
             total += 1
         else:
-            total += int(bond.order)
-            if bond.order in (BondOrder.DOUBLE, BondOrder.TRIPLE):
-                has_multiple = True
+            total += order
+            has_multiple = True
     return total, has_multiple
 
 

@@ -708,50 +708,75 @@ def _refine(
         cell_of[i] = len(starts) - 1
         members[-1].add(i)
 
-    def key(i: int) -> tuple:
-        return tuple(sorted([(bond, starts[cell_of[j]]) for bond, j in adjacency[i]]))
-
+    hit_in = [-1] * n  # the round in which an atom was last re-keyed
     touched = range(n) if moved is None else {j for i in moved for _, j in adjacency[i]}
+    round_ = 0
     while True:
-        hits: dict[int, set[int]] = {}
+        hits: dict[int, list[int]] = {}
         for i in touched:
-            if len(members[cell_of[i]]) > 1:
-                hits.setdefault(cell_of[i], set()).add(i)
+            cell = cell_of[i]
+            if len(members[cell]) > 1:
+                hit_in[i] = round_
+                if cell in hits:
+                    hits[cell].append(i)
+                else:
+                    hits[cell] = [i]
         splits = []
         for cell, hit in hits.items():
+            rest = len(members[cell]) - len(hit)
+            if rest:  # one atom keyed, last, for the cell's other members
+                for i in members[cell]:
+                    if hit_in[i] != round_:
+                        hit.append(i)
+                        break
             pieces: dict[tuple, list[int]] = {}
             for i in hit:
-                pieces.setdefault(key(i), []).append(i)
+                # The pair (bond, rank) as bond * n + rank, which sorts as
+                # the pair does, since every rank is below n.
+                pairs = []
+                for bond, j in adjacency[i]:
+                    pairs.append(bond * n + starts[cell_of[j]])
+                pairs.sort()
+                key = tuple(pairs)
+                if key in pieces:
+                    pieces[key].append(i)
+                else:
+                    pieces[key] = [i]
             rest_key = None
-            if len(hit) < len(members[cell]):
-                rest_key = key(next(i for i in members[cell] if i not in hit))
-                pieces.setdefault(rest_key, [])
+            if rest:
+                rest_key = key
+                pieces[key].pop()
             if len(pieces) > 1:
-                splits.append((cell, hit, pieces, rest_key))
+                splits.append((cell, pieces, rest_key, rest))
         if not splits:
             return [starts[cell] for cell in cell_of]
         touched = set()
-        for cell, hit, pieces, rest_key in splits:
-            size = {piece_key: len(atoms) for piece_key, atoms in pieces.items()}
-            if rest_key is not None:
-                size[rest_key] += len(members[cell]) - len(hit)
+        add = touched.add
+        for cell, pieces, rest_key, rest in splits:
             ordered = sorted(pieces)
-            largest = max(ordered, key=size.__getitem__)
+            sizes = []
+            for key in ordered:
+                sizes.append(len(pieces[key]) + rest if key == rest_key else len(pieces[key]))
+            largest = sizes.index(max(sizes))
             position = starts[cell]
-            for piece_key in ordered:
-                if piece_key == largest:
+            cell_members = members[cell]
+            for k, key in enumerate(ordered):
+                if k == largest:
                     starts[cell] = position
                 else:
-                    atoms = pieces[piece_key]
-                    if piece_key == rest_key:  # shorter than the largest, re-keyed piece
-                        atoms += [i for i in members[cell] if i not in hit]
-                    members[cell].difference_update(atoms)
+                    atoms = pieces[key]
+                    if key == rest_key:  # shorter than the largest, re-keyed piece
+                        atoms += [i for i in cell_members if hit_in[i] != round_]
+                    cell_members.difference_update(atoms)
+                    new = len(starts)
                     starts.append(position)
                     members.append(set(atoms))
                     for i in atoms:
-                        cell_of[i] = len(starts) - 1
-                        touched.update(j for _, j in adjacency[i])
-                position += size[piece_key]
+                        cell_of[i] = new
+                        for _, j in adjacency[i]:
+                            add(j)
+                position += sizes[k]
+        round_ += 1
 
 
 def _orbit_root(parent: dict[int, int], atom: int) -> int:
@@ -759,6 +784,29 @@ def _orbit_root(parent: dict[int, int], atom: int) -> int:
         parent[atom] = parent.get(parent[atom], parent[atom])
         atom = parent[atom]
     return atom
+
+
+def _rank_map(
+    texts: _WriterTexts, by_rank: list[int], twin_by_rank: list[int]
+) -> dict[int, int] | None:
+    """The map from one leaf's atoms onto another's of equal rank
+    position, as the atoms it moves and their images, or None when it
+    changes an atom text or a directed bond text.
+
+    An atom the map fixes needs no check: each of its bonds to a moved
+    atom is checked from that atom, and a bond's reverse text follows from
+    its text.
+    """
+    atom_texts, bond_texts = texts
+    image = {a: b for a, b in zip(by_rank, twin_by_rank) if a != b}
+    for a, b in image.items():
+        if atom_texts[a] != atom_texts[b]:
+            return None
+        twin_bonds = bond_texts[b]
+        for c, text in bond_texts[a].items():
+            if twin_bonds.get(image.get(c, c)) != text:
+                return None
+    return image
 
 
 def _component_min_string(
@@ -782,36 +830,60 @@ def _component_min_string(
     of one already searched, so its smallest string equals an earlier one
     and could not replace the best (McKay & Piperno, "Practical graph
     isomorphism, II", 2014).
-    """
-    automorphisms: list[dict[int, int]] = []
-    first: tuple[str, list[int]] | None = None
-    best: tuple[str, list[int]] | None = None
 
-    def leaf(ranks: list[int]) -> tuple[str, list[int]]:
-        nonlocal first, best
-        result = _write_component(mol, min(comp, key=ranks.__getitem__), ranks.__getitem__, texts)
-        if first is None or best is None:
-            first = best = result
+    Most leaves past the first only find such a twin, so a leaf is first
+    mapped onto the first and then the best leaf written, by rank
+    position within the component.  A map that carries every atom text
+    and directed bond text onto an equal one is an automorphism that
+    keeps the rank order, so the leaf would write the twin's string in
+    the twin's emission order under the map.  The map is recorded, and
+    the leaf returns its twin's string and order without a write.  The
+    search returns the first leaf that writes the smallest string; no
+    earlier leaf writes that string, so that leaf is no twin and is
+    always written.  A component with a chirality-tagged atom, whose
+    text depends on the order written, writes every leaf.
+    """
+    untagged = all(isinstance(texts[0][i], str) for i in comp)
+    automorphisms: list[dict[int, int]] = []
+    # The first and, when it differs, the best leaf written: string,
+    # emission order, and the component's atoms in rank order.
+    written: list[tuple[str, list[int], list[int]]] = []
+
+    def leaf(ranks: list[int], by_rank: list[int]) -> tuple[str, list[int]]:
+        if untagged:
+            for twin_string, twin_order, twin_by_rank in written:
+                image = _rank_map(texts, by_rank, twin_by_rank)
+                if image is not None:
+                    automorphisms.append({b: a for a, b in image.items()})
+                    return twin_string, twin_order
+        result = _write_component(mol, by_rank[0], ranks.__getitem__, texts)
+        if not written:
+            written.append((*result, by_rank))
             return result
+        first, best = written[0], written[-1]
         twin = first if result[0] == first[0] else best if result[0] == best[0] else None
         if twin is not None:
             automorphisms.append({a: b for a, b in zip(twin[1], result[1]) if a != b})
         if result[0] < best[0]:
-            best = result
+            written[1:] = [(*result, by_rank)]
         return result
 
     def search(ranks: list[int], fixed: list[int]) -> tuple[str, list[int]]:
-        by_rank: dict[int, list[int]] = {}
-        for i in comp:
-            by_rank.setdefault(ranks[i], []).append(i)
-        tied = next((by_rank[r] for r in sorted(by_rank) if len(by_rank[r]) > 1), None)
-        if tied is None:
-            return leaf(ranks)
+        by_rank = sorted(comp, key=ranks.__getitem__)
+        rank_of = [ranks[i] for i in by_rank]
+        if len(set(rank_of)) == len(rank_of):
+            return leaf(ranks, by_rank)
+        # The lowest tied class, in atom order, since the sort is stable.
+        rank = next(r for r, s in zip(rank_of, rank_of[1:]) if r == s)
+        start = rank_of.index(rank)
+        tied = by_rank[start : start + rank_of.count(rank)]
+        # The candidate keeps the cell's start; the rest of its cell, in
+        # every component, moves up by one.
+        moved_up = [r + (r == rank) for r in ranks]
         node_best: tuple[str, list[int]] | None = None
         tried: list[int] = []
         orbits: dict[int, int] = {}
         used = 0
-        rank = ranks[tied[0]]
         for candidate in tied:
             if tried:
                 for moved in automorphisms[used:]:
@@ -823,9 +895,8 @@ def _component_min_string(
                 if any(_orbit_root(orbits, t) == root for t in tried):
                     continue
             tried.append(candidate)
-            # The candidate keeps the cell's start; the rest of its cell,
-            # in every component, moves up by one.
-            seeded = [r + (r == rank and i != candidate) for i, r in enumerate(ranks)]
+            seeded = moved_up.copy()
+            seeded[candidate] = rank
             result = search(_refine(adjacency, seeded, [candidate]), fixed + [candidate])
             if node_best is None or result[0] < node_best[0]:
                 node_best = result
@@ -856,7 +927,10 @@ def canonicalize(mol: Molecule) -> str:
     The tie-break search skips atoms in the automorphism orbit of one
     already tried, which leaves the result of the exhaustive search
     unchanged and makes each independent symmetric part cost a few
-    writes rather than a doubling.
+    writes rather than a doubling.  A leaf whose rank-order map onto an
+    earlier leaf keeps every atom and bond text is that leaf's twin and
+    is not written; a leaf is written when no such map exists or its
+    component has a chirality-tagged atom.
     """
     return ".".join(part[0] for part in _canonical_parts(mol))
 

@@ -170,6 +170,16 @@ class TestChirality:
             cb = chiral_centers(parse_strict(b))
             assert [c for _, c in cb] == [flip[c] for _, c in ca], (a, b)
 
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="no CIP rule past 1a, so r/s centres are unresolved"
+    )
+    def test_ribitol_and_xylitol_differ(self) -> None:
+        # Two meso pentitols with different canonical SMILES; the middle
+        # carbon is pseudo-asymmetric, and both read [S, Unresolved, R].
+        ribitol = chiral_centers(parse_strict("OC[C@@H](O)[C@H](O)[C@@H](O)CO"))
+        xylitol = chiral_centers(parse_strict("OC[C@@H](O)[C@@H](O)[C@@H](O)CO"))
+        assert ribitol != xylitol
+
     def test_degenerate_tag_is_dropped(self) -> None:
         # three-neighbor stereo tags carry no tetrahedral information
         assert list(chiral_centers(parse_strict("C[C@@](C)C"))) == []
@@ -222,6 +232,14 @@ class TestProfile:
         assert profile.ring_compounds == ("morpholine",)
         assert sorted(profile.functional_groups) == ["ether", "secondary amine"]
         assert profile.aromatic_ring_count == 0
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="the kept SSSR depends on atom numbering")
+    def test_bridged_ring_compounds_do_not_depend_on_spelling(self) -> None:
+        # Both spell 2-azabicyclo[2.2.2]octane, canonical C1CC2CCC1CN2; one
+        # reads (cyclohexane, piperidine), the other (piperidine, piperidine).
+        a = extract_profile(parse_strict("C1C2CCC(C1)CN2"))
+        b = extract_profile(parse_strict("C1C2CCC(CC2)N1"))
+        assert a.ring_compounds == b.ring_compounds
 
     def test_profile_fields_are_sorted_tuples(self) -> None:
         profile = extract_profile(parse_strict("OCC(O)CO"))

@@ -18,6 +18,7 @@ from molstruct.smiles import (
     TokenKind,
     _bond_adjacency,
     _initial_invariants,
+    _rank_map,
     _refine,
     _write_component,
     _writer_texts,
@@ -35,6 +36,7 @@ from conftest import corpus_rows
 from test_golden_canonical import (
     RESPELLING_SEEDS,
     acene,
+    adamantane,
     alkane,
     cycloalkane,
     isopropyl_chain,
@@ -335,8 +337,20 @@ class TestCanonicalScaling:
         assert canonicalize(parse_strict(random_equivalent(mol, 5))) == canon
         assert canonicalize(parse_strict(canon)) == canon
 
-    @pytest.mark.parametrize("text", [polyphenyl(6), isopropyl_chain(6)], ids=["polyphenyl-6", "isopropyl-chain-6"])
-    def test_bracket_decided_once_per_atom(self, text: str, monkeypatch) -> None:
+    @pytest.mark.parametrize(
+        "text,several_leaves",
+        [
+            (polyphenyl(6), False),
+            (isopropyl_chain(6), False),
+            # Chirality tags keep every leaf written.
+            ("C[C@@H]1CC[C@H](C)CC1", True),
+            ("c1ccc(cc1)[C@@H](F)c1ccccc1", True),
+        ],
+        ids=[
+            "polyphenyl-6", "isopropyl-chain-6", "dimethylcyclohexane-tagged", "diphenylfluoromethane-tagged",
+        ],
+    )
+    def test_bracket_decided_once_per_atom(self, text: str, several_leaves: bool, monkeypatch) -> None:
         mol = parse_strict(text)
         calls = Counter()
         needs_bracket = smiles._needs_bracket
@@ -355,7 +369,8 @@ class TestCanonicalScaling:
 
         monkeypatch.setattr(smiles, "_write_component", counted_leaf)
         canonicalize(mol)
-        assert leaves["written"] > 1
+        if several_leaves:
+            assert leaves["written"] > 1
         assert max(calls.values()) == 1 and len(calls) == len(mol.atoms)
 
     def test_stereo_tagged_oligovaline_profile_in_time(self) -> None:
@@ -479,6 +494,16 @@ class TestRefinement:
             random.Random(seed).shuffle(perm)
             assert_refines_like_oracle(graph_molecule(n, edges, perm))
 
+    @pytest.mark.parametrize(
+        "smiles",
+        [alkane(100), peg(40), cycloalkane(32), polyphenyl(6), prismane(10), acene(8), adamantane(10)],
+        ids=["n-alkane-100", "PEG-40", "cyclo-C32", "polyphenyl-6", "prismane-10", "acene-8", "adamantane"],
+    )
+    def test_refinement_matches_full_rounds_on_large_families(self, smiles: str) -> None:
+        # Long chains take the most rounds; the search path covers
+        # individualized atoms in every family.
+        assert_refines_like_oracle(parse_strict(smiles))
+
     def test_rank_is_the_number_of_atoms_in_earlier_cells(self) -> None:
         mol = parse_strict("OCC(C)(C)CO")
         ranks = _refine(_bond_adjacency(mol), _initial_invariants(mol))
@@ -523,6 +548,132 @@ class TestEqualLeavesAreSymmetries:
     )
     def test_symmetric_families(self, smiles: str) -> None:
         assert symmetries_checked(parse_strict(smiles))
+
+
+def twin_leaves_checked(mol: Molecule, monkeypatch) -> int:
+    """Canonicalize ``mol``, writing each leaf that the search skips as a
+    twin and checking it; count them.
+
+    A skipped leaf must write its twin's string, in the twin's emission
+    order under the rank-order map, and that map must be an automorphism.
+    """
+    texts = _writer_texts(mol)
+    checked = 0
+
+    def write_in(by_rank: list[int]) -> tuple[str, list[int]]:
+        position = {atom: k for k, atom in enumerate(by_rank)}
+        return _write_component(mol, by_rank[0], position.__getitem__, texts)
+
+    def checked_map(search_texts, by_rank: list[int], twin_by_rank: list[int]) -> dict[int, int] | None:
+        nonlocal checked
+        image = _rank_map(search_texts, by_rank, twin_by_rank)
+        if image is not None:
+            back = {b: a for a, b in image.items()}
+            twin_string, twin_order = write_in(twin_by_rank)
+            assert write_in(by_rank) == (twin_string, [back.get(t, t) for t in twin_order])
+            assert automorphism_oracle(mol, back)
+            checked += 1
+        return image
+
+    monkeypatch.setattr(smiles, "_rank_map", checked_map)
+    canonicalize(mol)
+    monkeypatch.undo()
+    return checked
+
+
+def leaves_written(mol: Molecule, monkeypatch, rank_map=None) -> tuple[int, str, list[int]]:
+    """Leaves that ``canonicalize`` writes, with its string and canonical
+    order, under ``rank_map`` in place of the search's own when given."""
+    written = 0
+    write_component = smiles._write_component
+
+    def counted(*args, **kwargs):
+        nonlocal written
+        written += 1
+        return write_component(*args, **kwargs)
+
+    monkeypatch.setattr(smiles, "_write_component", counted)
+    if rank_map is not None:
+        monkeypatch.setattr(smiles, "_rank_map", rank_map)
+    canon = canonicalize(mol)
+    count = written
+    order = canonical_order(mol)
+    monkeypatch.undo()
+    return count, canon, order
+
+
+# Every molecule of the benchmark's ``large`` workload.
+LARGE_WORKLOAD = [
+    *(cycloalkane(n) for n in (6, 12, 18, 24, 32)),
+    *(alkane(n) for n in (8, 16, 32, 48, 64, 65, 80, 100)),
+    *(peg(n) for n in (4, 8, 16, 32, 40)),
+    *(polyphenyl(n) for n in (2, 3, 4, 5, 6)),
+    *(prismane(n) for n in (3, 4, 5, 6, 8, 10)),
+    adamantane(10),
+    *(acene(n) for n in (2, 3, 4, 6, 8)),
+]
+
+
+class TestTwinLeavesAreNotWritten:
+    def test_corpus(self, monkeypatch) -> None:
+        assert sum(twin_leaves_checked(parse_strict(row[0]), monkeypatch) for row in corpus_rows())
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_GRAPHS))
+    def test_symmetric_graphs(self, name: str, monkeypatch) -> None:
+        n, edges = SYMMETRIC_GRAPHS[name]
+        assert twin_leaves_checked(graph_molecule(n, edges, list(range(n))), monkeypatch)
+
+    def test_charge_on_one_atom_of_a_symmetric_graph(self, monkeypatch) -> None:
+        n, edges = SYMMETRIC_GRAPHS["petersen"]
+        mol = graph_molecule(n, edges, list(range(n)))
+        mol.atoms[0].charge = -1
+        assert twin_leaves_checked(mol, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "smiles", [polyphenyl(3), polyphenyl(5), prismane(4), prismane(6), acene(3), acene(4)]
+    )
+    def test_symmetric_families(self, smiles: str, monkeypatch) -> None:
+        assert twin_leaves_checked(parse_strict(smiles), monkeypatch)
+
+    def test_large_workload_writes_one_leaf_per_component(self, monkeypatch) -> None:
+        # Without the twin check these 105 canonicalizations write 400 leaves.
+        for smiles in LARGE_WORKLOAD:
+            mol = parse_strict(smiles)
+            for spelling in [mol] + [parse_strict(random_equivalent(mol, seed)) for seed in RESPELLING_SEEDS]:
+                assert leaves_written(spelling, monkeypatch)[0] == len(spelling.components()), smiles
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [("CCC", {0: 2, 2: 0}), ("CCN", None), ("C=CC", None)],
+        ids=["kept", "atom-text-changed", "bond-text-changed"],
+    )
+    def test_map_reversing_a_chain(self, text: str, expected: dict[int, int] | None) -> None:
+        assert _rank_map(_writer_texts(parse_strict(text)), [0, 1, 2], [2, 1, 0]) == expected
+
+    @pytest.mark.parametrize("text", ["F/C=C/F", "C/C=C/C"])
+    def test_leaf_whose_map_fails_is_written(self, text: str, monkeypatch) -> None:
+        # The reflection that maps one leaf onto the other reverses the
+        # bond directions, so the map changes a bond text.
+        failed = []
+
+        def recorded(*args):
+            image = _rank_map(*args)
+            failed.append(image is None)
+            return image
+
+        mol = parse_strict(text)
+        written, canon, order = leaves_written(mol, monkeypatch, recorded)
+        assert failed and all(failed) and written == 2
+        assert (canon, order) == leaves_written(mol, monkeypatch, lambda *args: None)[1:]
+
+    def test_tagged_component_writes_every_leaf(self, monkeypatch) -> None:
+        def unused(*args):
+            raise AssertionError("rank map tried on a chirality-tagged component")
+
+        mol = parse_strict("C[C@@H]1CC[C@H](C)CC1")
+        written, canon, _ = leaves_written(mol, monkeypatch, unused)
+        assert written > 1
+        assert canon == canonicalize(parse_strict(random_equivalent(mol, 3)))
 
 
 class TestCanonicalization:
