@@ -5,14 +5,17 @@ compact bracket notation, then dropping matches whose atoms are wholly
 contained in a stronger match (precedence suppression): a carboxylic acid
 claims its hydroxyl, an ester claims its ether oxygen, an amide claims its
 amine nitrogen, a phenol claims its hydroxyl.  Each pattern is matched from
-its rarest atom, tried only on molecule atoms of a fitting element, and a
-pattern with an element the molecule lacks is skipped.
+its rarest atom, tried only on molecule atoms of a fitting element.  A
+pattern is skipped when the molecule lacks an element one of its atoms
+needs, or has no bond of an order one of its bonds accepts; both needs
+are compiled once per pattern.
 
 Rings are named by exact shape: the cyclic sequence of element symbols and
 bond orders, rotation- and reflection-invariant, plus the aromatic flag.
 Charges, hydrogen counts, and substituents are ignored, so pyridinium
 matches the pyridine entry.  A ring whose bond pattern matches no entry
-gets a generic label like "aromatic 5-membered ring (heteroatoms: N,N)".
+gets a generic label like "aromatic 5-membered ring (heteroatoms: N,N)";
+a ring of a size no entry has gets it without its shape being computed.
 
 Both catalogs load from a plain-text config, one entry per line:
 
@@ -171,6 +174,10 @@ class GroupPattern:
     ``atoms`` are in search order: ``atoms[0]`` is the root, and
     ``edges[k-1]`` joins atom k to its parent, an earlier atom.
     ``halogen_slot`` is the atom whose element fills ``{X}`` in the name.
+    ``atom_keys`` holds the distinct key sets of the keyed atoms and
+    ``edge_orders`` the distinct bond-order sets of the edges: a molecule
+    with no atom of some key set, or no bond of some order set, has no
+    match.
     """
 
     name: str
@@ -178,6 +185,8 @@ class GroupPattern:
     atoms: tuple[_PatternAtom, ...]
     edges: tuple[_PatternEdge, ...]
     halogen_slot: int | None
+    atom_keys: tuple[frozenset[tuple[str, bool]], ...]
+    edge_orders: tuple[frozenset[BondOrder], ...]
 
 
 def _parse_alt(text: str) -> tuple[_AtomTest, _Keys]:
@@ -357,6 +366,8 @@ def compile_pattern(name: str, text: str, precedence: int) -> GroupPattern:
         atoms=tuple(atoms[old] for old in order),
         edges=tuple(parent_edges),
         halogen_slot=None if halogen_slot is None else order.index(halogen_slot),
+        atom_keys=tuple(dict.fromkeys(atom.keys for atom in atoms if atom.keys is not None)),
+        edge_orders=tuple(dict.fromkeys(edge.orders for edge in edges)),
     )
 
 
@@ -460,10 +471,19 @@ def generic_ring_name(mol: Molecule, ring: Ring) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Catalog:
-    """Compiled functional-group patterns plus the named-ring shape table."""
+    """Compiled functional-group patterns plus the named-ring shape table.
+
+    ``ring_sizes`` holds the sizes of the named rings; a ring of any other
+    size gets its generic name without computing its shape key.
+    """
 
     groups: tuple[GroupPattern, ...] = ()
     rings: dict[tuple, str] = field(default_factory=dict)
+    ring_sizes: frozenset[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        # A ring key's first item holds one (element, bond order) pair per atom.
+        object.__setattr__(self, "ring_sizes", frozenset(len(key[0]) for key in self.rings))
 
     @staticmethod
     def from_text(text: str) -> Catalog:
@@ -521,23 +541,33 @@ def _default_catalog() -> Catalog:
     return Catalog.from_text(DEFAULT_CATALOG_TEXT)
 
 
+def _lacks(needs: tuple[frozenset, ...], present: Iterable) -> bool:
+    """True when some set in ``needs`` shares nothing with ``present``."""
+    for need in needs:
+        if need.isdisjoint(present):
+            return True
+    return False
+
+
 def find_groups(mol: Molecule, catalog: Catalog | None = None) -> list[GroupMatch]:
     """Functional-group matches that survive precedence suppression.
 
     A match is suppressed when its atom set is a subset of a strictly
     stronger (numerically lower precedence) match's atom set.  Matches of
     one pattern on the same atom set are counted once.  Survivors come in
-    precedence order.
+    precedence order.  A pattern is skipped unmatched when one of its
+    keyed atoms finds no atom of a fitting element and aromaticity in the
+    molecule, or one of its edges no bond of an order it accepts.
     """
     catalog = catalog or Catalog.default()
     index: dict[tuple[str, bool], list[int]] = {}
     for i, atom in enumerate(mol.atoms):
         index.setdefault((atom.element, atom.is_aromatic), []).append(i)
+    orders = {bond.order for bond in mol.bonds}
     everything = range(len(mol.atoms))
     raw: list[GroupMatch] = []
     for pattern in catalog.groups:
-        # No match without a molecule atom for each keyed pattern atom.
-        if any(node.keys is not None and node.keys.isdisjoint(index) for node in pattern.atoms):
+        if _lacks(pattern.atom_keys, index) or _lacks(pattern.edge_orders, orders):
             continue
         root_keys = pattern.atoms[0].keys
         roots = everything if root_keys is None else sorted(
@@ -574,11 +604,15 @@ def functional_group_names(mol: Molecule, catalog: Catalog | None = None) -> Cou
 
 
 def ring_compound_names(mol: Molecule, catalog: Catalog | None = None) -> Counter[str]:
-    """Multiset of ring names, one per SSSR ring."""
+    """Multiset of ring names, one per SSSR ring.
+
+    Only a ring of a size the catalog names has its shape key computed;
+    every other ring gets its generic name directly.
+    """
     catalog = catalog or Catalog.default()
     assert mol.rings is not None, "rings must be perceived first"
     names: Counter[str] = Counter()
     for ring in mol.rings:
-        name = catalog.rings.get(ring_key(mol, ring))
+        name = catalog.rings.get(ring_key(mol, ring)) if ring.size in catalog.ring_sizes else None
         names[generic_ring_name(mol, ring) if name is None else name] += 1
     return names

@@ -399,6 +399,104 @@ def _ring_blocks(mol: Molecule) -> list[tuple[list[int], list[Bond]]]:
     return blocks
 
 
+def _walk_cycle(mol: Molecule, atoms: list[int]) -> list[int]:
+    """The atoms of a one-cycle block in order around it, from ``atoms[0]``."""
+    inside = set(atoms)
+    cycle = [atoms[0]]
+    prev = -1
+    while len(cycle) < len(atoms):
+        cur = cycle[-1]
+        cycle.append(next(j for j, _ in mol._adjacency[cur] if j != prev and j in inside))
+        prev = cur
+    return cycle
+
+
+def _block_rings(mol: Molecule, atoms: list[int], bonds: list[Bond]) -> list[Ring]:
+    """The SSSR rings of a ring block that holds more than one cycle.
+
+    Each pass grows every root's breadth-first tree to depth ``cap``.
+    The two ends of a bond lie at depths that differ by at most one, so
+    the pass finds every candidate of up to 2 * cap + 1 atoms.  It hands
+    the greedy only those longer than the previous pass could find, in
+    (size, sequence) order; the cap doubles until the basis is full.
+    """
+    n = len(atoms)
+    local = {atom: k for k, atom in enumerate(atoms)}
+    bit = {id(bond): 1 << k for k, bond in enumerate(bonds)}
+    neighbors = [[(local[j], bit[id(bond)]) for j, bond in mol._adjacency[a] if j in local] for a in atoms]
+    cyclomatic = len(bonds) - n + 1
+    depth = [-1] * n  # -1 outside the current root's tree
+    parent = [0] * n
+    branch = [0] * n
+    path_mask = [0] * n
+    basis: list[int] = []
+    rings: list[Ring] = []
+    found = 0  # every candidate of up to this many atoms went to the greedy
+    cap = 3
+    while True:
+        candidates: dict[int, tuple[int, tuple[int, ...]]] = {}
+        for root in range(n):
+            depth[root] = 0
+            branch[root] = root
+            path_mask[root] = 0
+            tree = [root]
+            for cur in tree:
+                level = depth[cur]
+                if level == cap:
+                    break
+                for nxt, b in neighbors[cur]:
+                    if depth[nxt] < 0:
+                        depth[nxt] = level + 1
+                        parent[nxt] = cur
+                        branch[nxt] = nxt if cur == root else branch[cur]
+                        path_mask[nxt] = path_mask[cur] | b
+                        tree.append(nxt)
+            # Each candidate is closed from its deeper end (the higher
+            # index on a tie), which reaches beyond ``found`` atoms only
+            # when twice its depth does.
+            for x in tree:
+                level = depth[x]
+                if 2 * level < found:
+                    continue
+                for y, b in neighbors[x]:
+                    other = depth[y]
+                    if (
+                        other < 0
+                        or other > level
+                        or (other == level and y < x)
+                        or level + other < found
+                        or branch[x] == branch[y]
+                        or (path_mask[x] | path_mask[y]) & b
+                    ):
+                        continue
+                    mask = path_mask[x] | path_mask[y] | b
+                    if mask in candidates:
+                        continue
+                    cycle = [atoms[y]]
+                    while y != root:
+                        y = parent[y]
+                        cycle.append(atoms[y])
+                    cycle.reverse()
+                    end = x
+                    while end != root:
+                        cycle.append(atoms[end])
+                        end = parent[end]
+                    candidates[mask] = (len(cycle), _canonical_cycle(cycle))
+            for x in tree:
+                depth[x] = -1
+        for mask, (_, seq) in sorted(candidates.items(), key=lambda item: item[1]):
+            for vec in basis:
+                if mask & (vec & -vec):
+                    mask ^= vec
+            if mask:
+                basis.append(mask)
+                rings.append(Ring(atoms=seq))
+                if len(basis) == cyclomatic:
+                    return rings
+        found = 2 * cap + 1
+        cap *= 2
+
+
 def perceive_rings(mol: Molecule) -> list[Ring]:
     """Perceive the smallest set of smallest rings (SSSR).
 
@@ -407,12 +505,16 @@ def perceive_rings(mol: Molecule) -> list[Ring]:
     only at the root.  Such a cycle lies inside one biconnected block, and
     so do the shortest paths between its atoms, so candidates come only
     from the roots and bonds of one ring block, over a breadth-first tree
-    kept inside the block.  Each tree atom carries the edge mask of its
-    path and the root's child that the path leaves by; a bond between two
-    different children's subtrees closes a cycle whose edge mask is the
-    two path masks and the bond.  Per block, a greedy pass ordered by size
-    then lexicographic atom sequence keeps each cycle that is linearly
-    independent over GF(2) until the block's cyclomatic number is reached.
+    kept inside the block.  A block with as many bonds as atoms is one
+    cycle, kept as it is.  In any other block, each tree atom carries the
+    edge mask of its path and the root's child that the path leaves by; a
+    bond between two different children's subtrees closes a cycle whose
+    edge mask is the two path masks and the bond.  A greedy pass ordered
+    by size then lexicographic atom sequence keeps each cycle that is
+    linearly independent over GF(2) until the block's cyclomatic number
+    is reached.  The trees grow only as deep as that needs: a pass to
+    depth d finds every candidate of up to 2d + 1 atoms, so the cost is
+    bounded by the longest ring kept, not by the block's size.
 
     Args:
         mol: Molecule to update in place.
@@ -422,53 +524,10 @@ def perceive_rings(mol: Molecule) -> list[Ring]:
     """
     rings: list[Ring] = []
     for atoms, bonds in _ring_blocks(mol):
-        local = {atom: k for k, atom in enumerate(atoms)}
-        bit = {id(bond): 1 << k for k, bond in enumerate(bonds)}
-        neighbors = [[(local[j], bit[id(bond)]) for j, bond in mol._adjacency[a] if j in local] for a in atoms]
-        ends = [(local[bond.a], local[bond.b], 1 << k) for k, bond in enumerate(bonds)]
-        candidates: dict[int, tuple[int, tuple[int, ...]]] = {}
-        for root in range(len(atoms)):
-            parent = [-1] * len(atoms)
-            branch = list(range(len(atoms)))
-            path_mask = [0] * len(atoms)
-            parent[root] = root
-            queue = [root]
-            for cur in queue:
-                for nxt, b in neighbors[cur]:
-                    if parent[nxt] < 0:
-                        parent[nxt] = cur
-                        if cur != root:
-                            branch[nxt] = branch[cur]
-                        path_mask[nxt] = path_mask[cur] | b
-                        queue.append(nxt)
-            for x, y, b in ends:
-                if branch[x] == branch[y] or (path_mask[x] | path_mask[y]) & b:
-                    continue
-                mask = path_mask[x] | path_mask[y] | b
-                if mask in candidates:
-                    continue
-                cycle = [atoms[y]]
-                while y != root:
-                    y = parent[y]
-                    cycle.append(atoms[y])
-                cycle.reverse()
-                while x != root:
-                    cycle.append(atoms[x])
-                    x = parent[x]
-                candidates[mask] = (len(cycle), _canonical_cycle(cycle))
-
-        cyclomatic = len(bonds) - len(atoms) + 1
-        basis: list[int] = []
-        for mask, (_, seq) in sorted(candidates.items(), key=lambda item: item[1]):
-            for vec in basis:
-                if mask & (vec & -vec):
-                    mask ^= vec
-            if mask:
-                basis.append(mask)
-                rings.append(Ring(atoms=seq))
-                if len(basis) == cyclomatic:
-                    break
-
+        if len(bonds) == len(atoms):
+            rings.append(Ring(atoms=_canonical_cycle(_walk_cycle(mol, atoms))))
+        else:
+            rings.extend(_block_rings(mol, atoms, bonds))
     rings.sort(key=lambda r: (r.size, r.atoms))
     mol.rings = rings
     return rings
@@ -554,6 +613,15 @@ def perceive_aromaticity(mol: Molecule) -> Molecule:
     aromatic_ring_ids: set[int] = {rid for rid, r in enumerate(rings) if r.aromatic}
     aromatic_atoms: set[int] = {a for rid in aromatic_ring_ids for a in ring_sets[rid]}
 
+    # For each ring, the later rings that share an atom with it, in index order.
+    fused: list[list[int]] = []
+    if len(rings) > 1:
+        rings_of: dict[int, list[int]] = {}
+        for rid, atom_set in enumerate(ring_sets):
+            for a in atom_set:
+                rings_of.setdefault(a, []).append(rid)
+        fused = [sorted({j for a in atom_set for j in rings_of[a] if j > i}) for i, atom_set in enumerate(ring_sets)]
+
     def ring_passes(atom_set: frozenset[int]) -> bool:
         total = 0
         for idx in atom_set:
@@ -573,13 +641,12 @@ def perceive_aromaticity(mol: Molecule) -> Molecule:
                 aromatic_ring_ids.add(rid)
                 aromatic_atoms.update(atom_set)
                 changed = True
-        for i in range(len(rings)):
-            for j in range(i + 1, len(rings)):
+        for i, partners in enumerate(fused):
+            for j in partners:
                 if i in aromatic_ring_ids and j in aromatic_ring_ids:
                     continue
-                shared = ring_sets[i] & ring_sets[j]
                 union = ring_sets[i] | ring_sets[j]
-                if not shared or len(union) > _MAX_FUSED_RING:
+                if len(union) > _MAX_FUSED_RING:
                     continue
                 if ring_passes(union):
                     aromatic_ring_ids.update((i, j))

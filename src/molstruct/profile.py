@@ -131,16 +131,24 @@ def molecular_weight(mol: Molecule) -> float:
     """Sum of standard atomic weights, rounded half-up to 2 decimals.
 
     A written isotope substitutes its mass number for the standard weight.
-    Implicit and bracket-count hydrogens weigh the standard 1.008.
+    Implicit and bracket-count hydrogens weigh the standard 1.008.  Atoms
+    are counted per element, and per mass number when labelled, so the
+    exact sum takes one multiply per count.
     """
-    h_weight = Decimal(str(ATOMIC_WEIGHTS["H"]))
-    total = Decimal(0)
+    elements: dict[str, int] = {}
+    isotopes: dict[int, int] = {}
+    hydrogens = 0
     for atom in mol.atoms:
-        if atom.isotope is not None:
-            total += Decimal(atom.isotope)
+        if atom.isotope is None:
+            elements[atom.element] = elements.get(atom.element, 0) + 1
         else:
-            total += Decimal(str(ATOMIC_WEIGHTS[atom.element]))
-        total += h_weight * atom.total_h
+            isotopes[atom.isotope] = isotopes.get(atom.isotope, 0) + 1
+        hydrogens += atom.explicit_h + atom.implicit_h
+    total = Decimal(str(ATOMIC_WEIGHTS["H"])) * hydrogens
+    for element, count in elements.items():
+        total += Decimal(str(ATOMIC_WEIGHTS[element])) * count
+    for isotope, count in isotopes.items():
+        total += Decimal(isotope) * count
     return float(total.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 

@@ -6,8 +6,11 @@ with the package internals they validate.
 
 from __future__ import annotations
 
+from decimal import ROUND_HALF_UP, Decimal
 from functools import lru_cache
 
+from molstruct.catalog import Catalog
+from molstruct.elements import ATOMIC_WEIGHTS
 from molstruct.graph import H_BRANCH, Chirality, Molecule
 
 
@@ -156,6 +159,54 @@ def sssr_oracle(mol: Molecule) -> list[tuple[int, ...]]:
             rings.append(seq)
     assert len(rings) == cyclomatic_count(mol)
     return sorted(rings, key=lambda seq: (len(seq), seq))
+
+
+def groups_oracle(mol: Molecule, catalog: Catalog) -> list[tuple[str, int, frozenset[int]]]:
+    """Surviving (name, precedence, atoms) of every pattern, unscreened.
+
+    Every pattern tree is embedded from every atom by backtracking over its
+    atoms in their compiled order, bonds taken in the molecule's order.  An
+    atom set counts once per pattern, named by the alphabetically smallest
+    halogen in its ``{X}`` slot.  A match is dropped when any match of a
+    strictly stronger pattern holds all of its atoms.
+    """
+    raw: list[tuple[str, int, frozenset[int]]] = []
+    for pattern in catalog.groups:
+        found: dict[frozenset[int], str] = {}
+
+        def extend(assign: list[int]) -> None:
+            k = len(assign)
+            if k == len(pattern.atoms):
+                slot = pattern.halogen_slot
+                symbol = "" if slot is None else mol.atoms[assign[slot]].element
+                found[frozenset(assign)] = min(symbol, found.get(frozenset(assign), symbol))
+                return
+            edge = pattern.edges[k - 1]
+            here = assign[edge.parent]
+            for j in mol.neighbors(here):
+                bond = mol.bond_between(here, j)
+                if j not in assign and bond.order in edge.orders and pattern.atoms[k].matches(mol, j):
+                    extend(assign + [j])
+
+        for i in range(len(mol.atoms)):
+            if pattern.atoms[0].matches(mol, i):
+                extend([i])
+        raw.extend((pattern.name.replace("{X}", symbol), pattern.precedence, atoms) for atoms, symbol in found.items())
+    raw.sort(key=lambda match: match[1])
+    return [
+        match for match in raw
+        if not any(match[2] <= other[2] for other in raw if other[1] < match[1])
+    ]
+
+
+def weight_oracle(mol: Molecule) -> float:
+    """Molecular weight summed atom by atom: the standard weight, or the
+    mass number of a written isotope, plus the atom's hydrogens."""
+    total = Decimal(0)
+    for atom in mol.atoms:
+        total += Decimal(atom.isotope) if atom.isotope is not None else Decimal(str(ATOMIC_WEIGHTS[atom.element]))
+        total += Decimal(str(ATOMIC_WEIGHTS["H"])) * atom.total_h
+    return float(total.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 def levenshtein_oracle(a: str, b: str) -> int:

@@ -6,15 +6,23 @@ from collections import Counter
 
 import pytest
 
+from molstruct import catalog as catalog_module
 from molstruct import random_equivalent
 from molstruct.catalog import (
     DEFAULT_CATALOG_TEXT,
     Catalog,
+    find_groups,
     functional_group_names,
     ring_compound_names,
 )
 from molstruct.errors import CatalogError
+from molstruct.graph import BondOrder
 from molstruct.smiles import parse_strict
+
+from _oracles import groups_oracle
+from conftest import corpus_rows
+from test_golden_canonical import cycloalkane
+from test_smiles import LARGE_WORKLOAD
 
 
 def groups(smiles: str, catalog: Catalog | None = None) -> Counter:
@@ -425,3 +433,88 @@ class TestAnchoredMatching:
         catalog = Catalog.from_text("group | h ({X}) | [X]* | 1\n")
         expected = min(atom.element for atom in parse_strict(smiles).atoms)
         assert groups(smiles, catalog) == Counter({f"h ({expected})": 1})
+
+
+# Edges of every bond symbol, with patterns that need triple, aromatic-only
+# and any-order bonds.
+EDGE_CATALOG = Catalog.from_text(
+    "group | triple | [#6]#[#7,#6] | 1\n"
+    "group | aromatic pair | [#6]:[#7,#6] | 2\n"
+    "group | aromatic path | *:*:*:* | 3\n"
+    "group | any bond | [#6]~[#8,#7] | 4\n"
+    "group | doubled any | [#6](~*)=* | 5\n"
+    "group | single only | [#6]-[#6]-[#8] | 6\n"
+    "group | halide ({X}) | [X]~* | 7\n"
+)
+
+EDGE_CASES = ["CC#N", "C#CC#C", "c1ccncc1C#N", "c1ccccc1-c1ccccc1", "N#Cc1ccoc1", "ClC#CBr", "C=C=O", "[Na+].[Cl-]", "C"]
+
+
+def groups_as_tuples(mol, catalog: Catalog | None = None) -> list[tuple[str, int, frozenset[int]]]:
+    return [(match.name, match.precedence, match.atoms) for match in find_groups(mol, catalog)]
+
+
+class TestGroupScreen:
+    """Skipping a pattern whose elements or bond orders the molecule lacks
+    gives the matches of embedding every pattern from every atom
+    (``groups_oracle``)."""
+
+    @pytest.mark.parametrize("catalog", [Catalog.default(), EDGE_CATALOG], ids=["default", "edges"])
+    def test_matches_oracle_on_corpus(self, catalog: Catalog) -> None:
+        for row in corpus_rows():
+            for smiles in row:
+                mol = parse_strict(smiles)
+                assert groups_as_tuples(mol, catalog) == groups_oracle(mol, catalog), smiles
+
+    @pytest.mark.parametrize("catalog", [Catalog.default(), EDGE_CATALOG], ids=["default", "edges"])
+    def test_matches_oracle_on_large_families(self, catalog: Catalog) -> None:
+        for smiles in LARGE_WORKLOAD + EDGE_CASES:
+            mol = parse_strict(smiles)
+            assert groups_as_tuples(mol, catalog) == groups_oracle(mol, catalog), smiles
+
+    def test_compiled_needs(self) -> None:
+        triple, pair, path, anything, doubled, single, halide = EDGE_CATALOG.groups
+        assert [len(pattern.edge_orders) for pattern in EDGE_CATALOG.groups] == [1, 1, 1, 1, 2, 1, 1]
+        assert path.atom_keys == () and halide.atom_keys == (catalog_module._HALOGEN_KEYS,)
+        assert triple.edge_orders == (frozenset({BondOrder.TRIPLE}),)
+        assert pair.edge_orders == (frozenset({BondOrder.AROMATIC}),)
+        assert anything.edge_orders == (frozenset(BondOrder),)
+
+    @pytest.mark.parametrize(
+        "smiles,embedded",
+        [
+            ("CCO", ["any bond", "single only"]),
+            ("CC#N", ["triple", "any bond"]),
+            ("c1ccccc1O", ["aromatic pair", "aromatic path", "any bond", "single only"]),
+            ("c1ccccc1", ["aromatic pair", "aromatic path"]),
+            ("C=CCl", ["doubled any", "halide ({X})"]),
+            ("[Na+].[Cl-]", []),
+        ],
+    )
+    def test_pattern_needing_an_absent_bond_order_is_not_embedded(
+        self, smiles: str, embedded: list[str], monkeypatch
+    ) -> None:
+        tried: list[str] = []
+        embeddings = catalog_module._embeddings
+        monkeypatch.setattr(
+            catalog_module, "_embeddings", lambda mol, pattern, roots: tried.append(pattern.name) or embeddings(mol, pattern, roots)
+        )
+        find_groups(parse_strict(smiles), EDGE_CATALOG)
+        assert tried == embedded
+
+
+class TestRingSizeScreen:
+    def test_named_sizes(self) -> None:
+        assert Catalog.default().ring_sizes == frozenset(range(3, 9))
+        assert Catalog.from_text("ring | benzene | c1ccccc1\n").ring_sizes == frozenset({6})
+        assert Catalog.from_text("group | nitrile | [C;A]#[N;A] | 1\n").ring_sizes == frozenset()
+
+    def test_shape_key_only_for_named_sizes(self, monkeypatch) -> None:
+        keyed: list[int] = []
+        ring_key = catalog_module.ring_key
+        monkeypatch.setattr(catalog_module, "ring_key", lambda mol, ring: keyed.append(ring.size) or ring_key(mol, ring))
+        names = rings(cycloalkane(12) + "." + cycloalkane(9) + ".c1ccccc1.C1CC1")
+        assert sorted(keyed) == [3, 6]
+        assert names == Counter(
+            {"12-membered ring": 1, "9-membered ring": 1, "benzene": 1, "cyclopropane": 1}
+        )

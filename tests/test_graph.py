@@ -187,6 +187,14 @@ class TestRingBlocks:
         for atoms, bonds in _ring_blocks(mol):
             assert {end for bond in bonds for end in (bond.a, bond.b)} == set(atoms)
 
+    def test_one_cycle_block_is_kept_in_canonical_order(self) -> None:
+        # Bonds listed backwards, so the walk around the cycle leaves atom 0
+        # toward its higher neighbor first.
+        bonds = [Bond(a=0, b=5)] + [Bond(a=k, b=k - 1) for k in range(5, 0, -1)]
+        mol = Molecule([Atom(element="C", bracket=True) for _ in range(6)], bonds)
+        assert mol.neighbors(0) == [5, 1]
+        assert [ring.atoms for ring in perceive_rings(mol)] == [(0, 1, 2, 3, 4, 5)] == sssr_oracle(mol)
+
     def test_deep_search_does_not_recurse(self) -> None:
         mol = parse_strict("C" * 2000 + "1CC1")
         assert [(atoms, len(bonds)) for atoms, bonds in _ring_blocks(mol)] == [([1999, 2000, 2001], 3)]
@@ -200,7 +208,9 @@ class TestRingScaling:
     Each bound is about five times the parse time measured on a 2-core
     machine (Python 3.11).  Before ring perception kept to ring blocks,
     these parses took 0.3 to 0.8 s each on the same machine, and a
-    ladder of 199 cyclobutanes took 6 to 9 s.
+    ladder of 199 cyclobutanes took 6 to 9 s.  Before the search stopped
+    at the depth its rings need, a ladder of 300 took 1.2 s and
+    cyclo-C2000 1.1 s.
     """
 
     @pytest.mark.parametrize(
@@ -210,8 +220,10 @@ class TestRingScaling:
             (spiro_chain(60), 0.025),
             (ladder(100), 0.4),
             (polyphenyl(30), 0.015),
+            (ladder(300), 0.15),
+            (cycloalkane(2000), 0.12),
         ],
-        ids=["cyclo-C200", "spiro-60", "ladder-100", "polyphenyl-30"],
+        ids=["cyclo-C200", "spiro-60", "ladder-100", "polyphenyl-30", "ladder-300", "cyclo-C2000"],
     )
     def test_parse_in_time(self, smiles: str, bound: float) -> None:
         assert best_seconds(lambda: parse_strict(smiles), bound) < bound

@@ -14,7 +14,7 @@ from molstruct.profile import (
 )
 from molstruct.smiles import parse_strict
 
-from _oracles import formula_oracle, longest_chain_oracle
+from _oracles import formula_oracle, longest_chain_oracle, weight_oracle
 
 
 class TestFormula:
@@ -77,6 +77,34 @@ class TestMolecularWeight:
         assert molecular_weight(parse_strict("[13CH4]")) > molecular_weight(
             parse_strict("C")
         )
+
+    def test_counts_match_the_per_atom_sum_on_corpus(self, corpus_with_alternates: list[list[str]]) -> None:
+        for row in corpus_with_alternates:
+            for smiles in row:
+                mol = parse_strict(smiles)
+                assert molecular_weight(mol) == weight_oracle(mol), smiles
+
+    @pytest.mark.parametrize(
+        "smiles",
+        [
+            "[2H]O[2H]",
+            "[13CH4]",
+            "[13CH3][13CH2]C(O)[18OH]",
+            "[2H]C([2H])([2H])[2H]",
+            "[H][H]",
+            "[H]C([H])([H])[H]",
+            "[H]OC(=O)C[2H]",
+            "[235U]",
+            "C" * 1000,
+        ],
+        ids=[
+            "heavy-water", "13C-methane", "mixed-isotopes", "deuteromethane", "dihydrogen",
+            "explicit-H-methane", "explicit-H-and-deuterium", "uranium-235", "alkane-1000",
+        ],
+    )
+    def test_counts_match_the_per_atom_sum(self, smiles: str) -> None:
+        mol = parse_strict(smiles)
+        assert molecular_weight(mol) == weight_oracle(mol)
 
 
 class TestLongestChain:

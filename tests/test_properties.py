@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from molstruct.catalog import Catalog, find_groups
 from molstruct.errors import RationaleParseError
 from molstruct.graph import Atom, Bond, Molecule, perceive_rings
 from molstruct.metrics import (
@@ -36,9 +37,17 @@ from molstruct.smiles import (
     same_canonical,
 )
 
-from _oracles import isomorphic_oracle, levenshtein_oracle, longest_chain_oracle, sssr_oracle
+from _oracles import groups_oracle, isomorphic_oracle, levenshtein_oracle, longest_chain_oracle, sssr_oracle
 from conftest import corpus_rows
-from test_golden_canonical import RESPELLING_SEEDS, RING_BLOCK_CASES, ladder, polyphenyl, spiro_chain
+from test_golden_canonical import (
+    RESPELLING_SEEDS,
+    RING_BLOCK_CASES,
+    cycloalkane,
+    ladder,
+    polyphenyl,
+    prismane,
+    spiro_chain,
+)
 from test_smiles import assert_refines_like_oracle
 
 CORPUS = [row[0] for row in corpus_rows()]
@@ -410,7 +419,17 @@ RING_FAMILIES = {
     **{f"ladder-{n}": ladder(n) for n in (10, 50, 100)},
     "polyphenyl-30": polyphenyl(30),
     **{smiles: smiles for smiles in RING_BLOCK_CASES},
+    # Blocks whose SSSR holds rings longer than the first depth bound finds.
+    "prismane-10": prismane(10),
+    "fused-12-12": "C1CCCCCCCCCC2CCCCCCCCCCC12",
+    "fused-3-20": "C1C2C1" + "C" * 17 + "C2",
 }
+
+# Molecules whose ring blocks are single cycles.
+ONE_CYCLE_BLOCKS = (
+    cycloalkane(3), cycloalkane(12), cycloalkane(40), spiro_chain(5), polyphenyl(3),
+    "C1CC1.c1ccccc1CC1CCCC1", "OC1CCC(N)CC1C1CC1",
+)
 
 
 def assert_sssr_like_oracle(mol: Molecule) -> None:
@@ -432,6 +451,17 @@ class TestRingPerception:
     def test_matches_oracle_on_ring_families(self, name: str) -> None:
         assert_sssr_like_oracle(parse_strict(RING_FAMILIES[name]))
 
+    def test_long_rings_are_in_the_families(self) -> None:
+        for name in ("prismane-10", "fused-12-12", "fused-3-20"):
+            assert max(ring.size for ring in parse_strict(RING_FAMILIES[name]).rings) > 7, name
+
+    @pytest.mark.parametrize("smiles", ONE_CYCLE_BLOCKS)
+    def test_matches_oracle_on_one_cycle_blocks_and_respellings(self, smiles: str) -> None:
+        mol = parse_strict(smiles)
+        assert_sssr_like_oracle(mol)
+        for seed in range(4):
+            assert_sssr_like_oracle(parse_strict(random_equivalent(mol, seed)))
+
     @given(molecule_specs())
     @settings(max_examples=300, deadline=None)
     def test_matches_oracle_on_random_molecules(self, spec: MoleculeSpec) -> None:
@@ -444,6 +474,16 @@ class TestRingPerception:
     def test_matches_oracle_on_random_graphs(self, mol: Molecule) -> None:
         perceive_rings(mol)
         assert_sssr_like_oracle(mol)
+
+
+class TestGroupScreen:
+    @given(molecule_specs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_unscreened_oracle(self, spec: MoleculeSpec) -> None:
+        mol = _spec_molecule(spec)
+        catalog = Catalog.default()
+        found = [(match.name, match.precedence, match.atoms) for match in find_groups(mol, catalog)]
+        assert found == groups_oracle(mol, catalog)
 
 
 group_name = st.from_regex(r"[a-z]{1,12}", fullmatch=True)
