@@ -130,16 +130,18 @@ def molecular_formula(mol: Molecule) -> str:
 def molecular_weight(mol: Molecule) -> float:
     """Sum of standard atomic weights, rounded half-up to 2 decimals.
 
-    A written isotope substitutes its mass number for the standard weight.
-    Implicit and bracket-count hydrogens weigh the standard 1.008.  Atoms
-    are counted per element, and per mass number when labelled, so the
-    exact sum takes one multiply per count.
+    A written isotope substitutes its mass number for the standard weight;
+    mass number 0 reads as unlabelled, as in ``metrics.morgan_fingerprint``,
+    so ``[0CH4]`` weighs what ``C`` does.  Implicit and bracket-count
+    hydrogens weigh the standard 1.008.  Atoms are counted per element,
+    and per mass number when labelled, so the exact sum takes one
+    multiply per count.
     """
     elements: dict[str, int] = {}
     isotopes: dict[int, int] = {}
     hydrogens = 0
     for atom in mol.atoms:
-        if atom.isotope is None:
+        if not atom.isotope:
             elements[atom.element] = elements.get(atom.element, 0) + 1
         else:
             isotopes[atom.isotope] = isotopes.get(atom.isotope, 0) + 1

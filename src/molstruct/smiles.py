@@ -786,27 +786,74 @@ def _orbit_root(parent: dict[int, int], atom: int) -> int:
     return atom
 
 
+def _keeps_texts(texts: _WriterTexts, image: dict[int, int]) -> bool:
+    """True when ``image``, a permutation given as the atoms it moves and
+    their images, keeps every atom text and directed bond text.
+
+    An atom the map fixes needs no check: each of its bonds to a moved
+    atom is checked from that atom, and a bond's reverse text follows from
+    its text.  A permutation that carries every bond onto a bond carries
+    the bond set onto itself, so a kept map is an automorphism.
+    """
+    atom_texts, bond_texts = texts
+    for a, b in image.items():
+        if atom_texts[a] != atom_texts[b]:
+            return False
+        twin_bonds = bond_texts[b]
+        for c, text in bond_texts[a].items():
+            if twin_bonds.get(image.get(c, c)) != text:
+                return False
+    return True
+
+
 def _rank_map(
     texts: _WriterTexts, by_rank: list[int], twin_by_rank: list[int]
 ) -> dict[int, int] | None:
     """The map from one leaf's atoms onto another's of equal rank
-    position, as the atoms it moves and their images, or None when it
-    changes an atom text or a directed bond text.
-
-    An atom the map fixes needs no check: each of its bonds to a moved
-    atom is checked from that atom, and a bond's reverse text follows from
-    its text.
-    """
-    atom_texts, bond_texts = texts
+    position, as the atoms it moves and their images, when it keeps every
+    text (:func:`_keeps_texts`), else None."""
     image = {a: b for a, b in zip(by_rank, twin_by_rank) if a != b}
-    for a, b in image.items():
-        if atom_texts[a] != atom_texts[b]:
-            return None
-        twin_bonds = bond_texts[b]
-        for c, text in bond_texts[a].items():
-            if twin_bonds.get(image.get(c, c)) != text:
+    return image if _keeps_texts(texts, image) else None
+
+
+def _grown_map(
+    texts: _WriterTexts,
+    adjacency: list[list[tuple[int, int]]],
+    ranks: list[int],
+    source: int,
+    target: int,
+) -> dict[int, int] | None:
+    """A map of ``source``'s component that sends ``source`` onto
+    ``target`` and keeps every text (:func:`_keeps_texts`), as the atoms
+    it moves and their images, or None when the greedy growth fails.
+
+    The map grows outward from ``source`` bond by bond: each mapped atom's
+    unmapped neighbors go, in adjacency order, onto the first free
+    neighbors of its image with the same rank and bond order (after
+    saucy: Darga, Sakallah & Markov, "Faster symmetry discovery using
+    sparsity of symmetries", DAC 2008).  An atom alone in its cell of
+    ``ranks`` can only go onto itself, so a kept map fixes every atom
+    individualized above the search node whose ranks these are.
+    """
+    image = {source: target}
+    images = {target}
+    grown = [source]
+    for a in grown:
+        twin_adjacency = adjacency[image[a]]
+        for order, c in adjacency[a]:
+            if c in image:
+                continue
+            rank = ranks[c]
+            for twin_order, d in twin_adjacency:
+                if twin_order == order and ranks[d] == rank and d not in images:
+                    break
+            else:
                 return None
-    return image
+            image[c] = d
+            images.add(d)
+            grown.append(c)
+    moved = {a: b for a, b in image.items() if a != b}
+    return moved if _keeps_texts(texts, moved) else None
 
 
 def _component_min_string(
@@ -831,8 +878,15 @@ def _component_min_string(
     and could not replace the best (McKay & Piperno, "Practical graph
     isomorphism, II", 2014).
 
-    Most leaves past the first only find such a twin, so a leaf is first
-    mapped onto the first and then the best leaf written, by rank
+    Most candidates past a node's first only confirm such a symmetry, so
+    before refining one the node grows a map from its first candidate
+    onto it (:func:`_grown_map`).  A kept map is an automorphism that
+    fixes every atom individualized above the node; it is recorded, and
+    the candidate is skipped as one in a known orbit would be.  A map that
+    fails leaves the candidate refined and searched.
+
+    Symmetries the node maps miss are found at the leaves: a leaf is
+    first mapped onto the first and then the best leaf written, by rank
     position within the component.  A map that carries every atom text
     and directed bond text onto an equal one is an automorphism that
     keeps the rank order, so the leaf would write the twin's string in
@@ -841,7 +895,8 @@ def _component_min_string(
     search returns the first leaf that writes the smallest string; no
     earlier leaf writes that string, so that leaf is no twin and is
     always written.  A component with a chirality-tagged atom, whose
-    text depends on the order written, writes every leaf.
+    text depends on the order written, tries no map at a node or a leaf
+    and writes every leaf.
     """
     untagged = all(isinstance(texts[0][i], str) for i in comp)
     automorphisms: list[dict[int, int]] = []
@@ -894,6 +949,11 @@ def _component_min_string(
                 root = _orbit_root(orbits, candidate)
                 if any(_orbit_root(orbits, t) == root for t in tried):
                     continue
+                if untagged:
+                    moved = _grown_map(texts, adjacency, ranks, tried[0], candidate)
+                    if moved is not None:
+                        automorphisms.append(moved)
+                        continue
             tried.append(candidate)
             seeded = moved_up.copy()
             seeded[candidate] = rank
@@ -927,7 +987,10 @@ def canonicalize(mol: Molecule) -> str:
     The tie-break search skips atoms in the automorphism orbit of one
     already tried, which leaves the result of the exhaustive search
     unchanged and makes each independent symmetric part cost a few
-    writes rather than a doubling.  A leaf whose rank-order map onto an
+    writes rather than a doubling.  Symmetries are found first at search
+    nodes: a candidate onto which a map grown from the node's first
+    candidate keeps every atom and bond text is skipped without a
+    refinement.  Then at leaves: a leaf whose rank-order map onto an
     earlier leaf keeps every atom and bond text is that leaf's twin and
     is not written; a leaf is written when no such map exists or its
     component has a chirality-tagged atom.

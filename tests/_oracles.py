@@ -201,10 +201,10 @@ def groups_oracle(mol: Molecule, catalog: Catalog) -> list[tuple[str, int, froze
 
 def weight_oracle(mol: Molecule) -> float:
     """Molecular weight summed atom by atom: the standard weight, or the
-    mass number of a written isotope, plus the atom's hydrogens."""
+    mass number of a written isotope other than 0, plus the atom's hydrogens."""
     total = Decimal(0)
     for atom in mol.atoms:
-        total += Decimal(atom.isotope) if atom.isotope is not None else Decimal(str(ATOMIC_WEIGHTS[atom.element]))
+        total += Decimal(atom.isotope) if atom.isotope else Decimal(str(ATOMIC_WEIGHTS[atom.element]))
         total += Decimal(str(ATOMIC_WEIGHTS["H"])) * atom.total_h
     return float(total.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 

@@ -62,6 +62,9 @@ class TestMolecularWeight:
             # mass numbers substitute exactly: 2*2 + 15.999 rounds to 20.00
             ("[2H]O[2H]", 20.00),
             ("[13CH4]", 17.03),
+            # mass number 0 is unlabelled; 12 substitutes for 12.011
+            ("[0CH4]", 16.04),
+            ("[12CH4]", 16.03),
             ("c1ccncc1", 79.10),
             ("c1ccc2ccccc2c1", 128.17),
             ("CC(N)C", 59.11),
@@ -89,6 +92,7 @@ class TestMolecularWeight:
         [
             "[2H]O[2H]",
             "[13CH4]",
+            "[0CH4]",
             "[13CH3][13CH2]C(O)[18OH]",
             "[2H]C([2H])([2H])[2H]",
             "[H][H]",
@@ -98,7 +102,7 @@ class TestMolecularWeight:
             "C" * 1000,
         ],
         ids=[
-            "heavy-water", "13C-methane", "mixed-isotopes", "deuteromethane", "dihydrogen",
+            "heavy-water", "13C-methane", "0C-methane", "mixed-isotopes", "deuteromethane", "dihydrogen",
             "explicit-H-methane", "explicit-H-and-deuterium", "uranium-235", "alkane-1000",
         ],
     )

@@ -17,6 +17,7 @@ from molstruct.smiles import (
     ParseDiagnostic,
     TokenKind,
     _bond_adjacency,
+    _grown_map,
     _initial_invariants,
     _rank_map,
     _refine,
@@ -551,11 +552,13 @@ class TestEqualLeavesAreSymmetries:
 
 
 def twin_leaves_checked(mol: Molecule, monkeypatch) -> int:
-    """Canonicalize ``mol``, writing each leaf that the search skips as a
-    twin and checking it; count them.
+    """Canonicalize ``mol`` with no map tried at search nodes, writing each
+    leaf that the search skips as a twin and checking it; count them.
 
     A skipped leaf must write its twin's string, in the twin's emission
     order under the rank-order map, and that map must be an automorphism.
+    The node map is switched off because it finds most of these
+    symmetries before the leaves are reached.
     """
     texts = _writer_texts(mol)
     checked = 0
@@ -576,6 +579,7 @@ def twin_leaves_checked(mol: Molecule, monkeypatch) -> int:
         return image
 
     monkeypatch.setattr(smiles, "_rank_map", checked_map)
+    monkeypatch.setattr(smiles, "_grown_map", lambda *args: None)
     canonicalize(mol)
     monkeypatch.undo()
     return checked
@@ -674,6 +678,153 @@ class TestTwinLeavesAreNotWritten:
         written, canon, _ = leaves_written(mol, monkeypatch, unused)
         assert written > 1
         assert canon == canonicalize(parse_strict(random_equivalent(mol, 3)))
+
+
+def node_maps_checked(mol: Molecule, monkeypatch) -> int:
+    """Canonicalize ``mol``, checking each map that the search keeps at a
+    node in place of refining a candidate; count them.
+
+    A kept map must be an automorphism, fix every atom individualized
+    above its node, and send the node's first tried candidate, the first
+    atom of its lowest tied cell, onto the candidate it skips, which is
+    then never refined.  A node is known by its ranks.  A refine call that
+    individualizes ``candidate`` got its keys from the node's ranks with
+    the rest of the candidate's cell moved one up; that cell holds more
+    than one atom, so no node rank sits one above the candidate's.
+    """
+    comp_of = {atom: frozenset(comp) for comp in mol.components() for atom in comp}
+    fixed_at: dict[tuple[int, ...], list[int]] = {}
+    refined_at: dict[tuple[int, ...], set[int]] = {}
+    kept: list[tuple[tuple[int, ...], int, int, dict[int, int]]] = []
+    refine, grown_map = smiles._refine, smiles._grown_map
+
+    def recorded_refine(adjacency, keys, moved=None):
+        ranks = refine(adjacency, keys, moved)
+        if moved is None:
+            fixed_at[tuple(ranks)] = []
+        else:
+            (candidate,) = moved
+            rank = keys[candidate]
+            node = tuple(r - (r == rank + 1) for r in keys)
+            fixed_at[tuple(ranks)] = fixed_at[node] + [candidate]
+            refined_at.setdefault(node, set()).add(candidate)
+        return ranks
+
+    def recorded_map(texts, adjacency, ranks, source, target):
+        image = grown_map(texts, adjacency, ranks, source, target)
+        if image is not None:
+            kept.append((tuple(ranks), source, target, image))
+        return image
+
+    monkeypatch.setattr(smiles, "_refine", recorded_refine)
+    monkeypatch.setattr(smiles, "_grown_map", recorded_map)
+    canonicalize(mol)
+    monkeypatch.undo()
+    for node, source, target, image in kept:
+        assert automorphism_oracle(mol, image), (source, target)
+        assert all(image.get(atom, atom) == atom for atom in fixed_at[node])
+        cell = first_tied(list(node), comp_of[source])
+        assert source == cell[0] and target in cell and image[source] == target
+        assert target not in refined_at[node]
+    return len(kept)
+
+
+class TestNodeMapsAreSymmetries:
+    def test_corpus(self, monkeypatch) -> None:
+        assert sum(node_maps_checked(parse_strict(row[0]), monkeypatch) for row in corpus_rows())
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_GRAPHS))
+    def test_symmetric_graphs(self, name: str, monkeypatch) -> None:
+        n, edges = SYMMETRIC_GRAPHS[name]
+        for seed in range(3):
+            perm = list(range(n))
+            random.Random(seed).shuffle(perm)
+            assert node_maps_checked(graph_molecule(n, edges, perm), monkeypatch)
+
+    def test_large_workload(self, monkeypatch) -> None:
+        checked = 0
+        for smiles_text in LARGE_WORKLOAD:
+            mol = parse_strict(smiles_text)
+            for spelling in [mol] + [parse_strict(random_equivalent(mol, seed)) for seed in RESPELLING_SEEDS]:
+                checked += node_maps_checked(spelling, monkeypatch)
+        assert checked
+
+    def test_large_workload_refines(self, monkeypatch) -> None:
+        # Measured: these 105 canonicalizations refine 349 times, and 829
+        # times when every candidate not in a known orbit is refined.
+        refines = 0
+        refine = smiles._refine
+
+        def counted(*args):
+            nonlocal refines
+            refines += 1
+            return refine(*args)
+
+        monkeypatch.setattr(smiles, "_refine", counted)
+        for smiles_text in LARGE_WORKLOAD:
+            mol = parse_strict(smiles_text)
+            for spelling in [mol] + [parse_strict(random_equivalent(mol, seed)) for seed in RESPELLING_SEEDS]:
+                canonicalize(spelling)
+        assert refines <= 349
+
+    @pytest.mark.parametrize(
+        "text,source,target,expected",
+        [
+            ("CCC", 0, 2, {0: 2, 2: 0}),
+            ("FC=CF", 1, 2, {0: 3, 1: 2, 2: 1, 3: 0}),
+            # Mass number 0 ranks like no label but writes a bracket.
+            ("[0CH3]CC", 0, 2, None),
+            # The reflection reverses both bond directions.
+            ("F/C=C/F", 1, 2, None),
+        ],
+        ids=["kept", "kept-double-bond", "atom-text-changed", "bond-text-changed"],
+    )
+    def test_grown_map(self, text: str, source: int, target: int, expected: dict[int, int] | None) -> None:
+        mol = parse_strict(text)
+        adjacency = _bond_adjacency(mol)
+        ranks = _refine(adjacency, _initial_invariants(mol))
+        assert _grown_map(_writer_texts(mol), adjacency, ranks, source, target) == expected
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [("[0CH3]CC", "CC[0CH3]"), ("F/C=C/F", "C(=C/F)\\F"), ("C/C=C/C", "C/C=C/C")],
+        ids=["isotope-0", "difluoroethylene", "butene"],
+    )
+    def test_refused_map_leaves_the_candidate_searched(self, text: str, expected: str, monkeypatch) -> None:
+        refused = []
+        grown_map = smiles._grown_map
+
+        def recorded(*args):
+            image = grown_map(*args)
+            refused.append(image is None)
+            return image
+
+        monkeypatch.setattr(smiles, "_grown_map", recorded)
+        mol = parse_strict(text)
+        canon = canonicalize(mol)
+        monkeypatch.undo()
+        assert refused and all(refused)
+        assert canon == expected
+        for seed in range(4):
+            assert canonicalize(parse_strict(random_equivalent(mol, seed))) == expected
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("C[C@@H]1CC[C@H](C)CC1", "C[C@@H]1CC[C@H](C)CC1"),
+            ("c1ccc(cc1)[C@@H](F)c1ccccc1", "c1ccc(cc1)[C@@H](c1ccccc1)F"),
+        ],
+        ids=["dimethylcyclohexane-tagged", "diphenylfluoromethane-tagged"],
+    )
+    def test_tagged_component_tries_no_map(self, text: str, expected: str, monkeypatch) -> None:
+        def unused(*args):
+            raise AssertionError("node map tried on a chirality-tagged component")
+
+        monkeypatch.setattr(smiles, "_grown_map", unused)
+        mol = parse_strict(text)
+        assert canonicalize(mol) == expected
+        for seed in range(4):
+            assert canonicalize(parse_strict(random_equivalent(mol, seed))) == expected
 
 
 class TestCanonicalization:
