@@ -16,12 +16,13 @@ Records stream through in input order.  Input lines are read one at a
 time as the work needs them, each decoded as UTF-8 on its own; blank
 lines are skipped.  At ``--jobs 1`` every record runs inline, and
 analyze, canon and select write and flush its output line before the
-next input line is read.  At ``--jobs N`` the lines go to a pool of N
-processes in chunks of at most _MAX_CHUNK_RECORDS, with at most
-_WINDOW_CHUNKS_PER_JOB * N chunks in flight, and the output lines of
-the oldest chunk are written once it has finished.  score and compare
-fold each result into running sums and write their one report at the
-end.  So memory stays flat however long the input is.
+next input line is read.  At ``--jobs N`` (N > 1) the lines go to a pool
+of W = min(N, CPU count) processes in chunks of at most
+_MAX_CHUNK_RECORDS, with at most _WINDOW_CHUNKS_PER_JOB * W chunks in
+flight, and the output lines of the oldest chunk are written once it
+has finished.  score and compare fold each result into running sums and
+write their one report at the end.  So memory stays flat however long
+the input is.
 
 Per-record failures never abort a run: the output record carries an
 "error" code ("UnclosedRing", "BadRecord", "RationaleParse", ...) and a
@@ -312,10 +313,13 @@ def _results(task: Callable, lines: Iterator, jobs: int) -> Iterator:
     # Imported here so that a --jobs 1 run does not pay for multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
+    # The pool forks all its workers at the first submit, and more workers
+    # than CPUs would only share them.
+    workers = min(jobs, os.cpu_count() or 1)
     window: deque = deque()
-    window_size = _WINDOW_CHUNKS_PER_JOB * jobs
+    window_size = _WINDOW_CHUNKS_PER_JOB * workers
     read, size = 0, 1
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         try:
             while chunk := list(islice(lines, size)):
                 read += len(chunk)
@@ -372,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default="-", help="output path, '-' for stdout")
         p.add_argument("--catalog", default=None, help="custom group/ring catalog file")
         p.add_argument(
-            "--jobs", type=_positive_int, default=1, help="parallel worker processes"
+            "--jobs", type=_positive_int, default=1, help="worker processes, at most one per CPU"
         )
 
     analyze = sub.add_parser("analyze", help="render a rationale per molecule")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .catalog import Catalog
 from .errors import EmptyRationaleError
@@ -28,7 +28,6 @@ def matching_ratio(
     rationale: Rationale,
     candidate: Molecule | StructuralProfile,
     catalog: Catalog | None = None,
-    weights: Mapping[ComponentKind, float] | None = None,
 ) -> tuple[float, dict[ComponentKind, float]]:
     """Score a candidate structure against a rationale.
 
@@ -40,8 +39,6 @@ def matching_ratio(
         rationale: Claims to check.
         candidate: Structure, or its precomputed profile.
         catalog: Group/ring catalog used when profiling a molecule.
-        weights: Optional per-component weights for the overall mean;
-            missing components weigh 1.
 
     Returns:
         (overall ratio, per-component scores over the mask).
@@ -56,11 +53,7 @@ def matching_ratio(
     per_component = {
         kind: scores.get(kind, 0.0) for kind in CANONICAL_ORDER if kind in rationale.mask
     }
-    weights = weights or {}
-    total = sum(weights.get(kind, 1.0) for kind in per_component)
-    if total <= 0:
-        raise ValueError("component weights must sum to a positive value")
-    overall = sum(score * weights.get(kind, 1.0) for kind, score in per_component.items()) / total
+    overall = sum(per_component.values()) / len(per_component)
     return overall, per_component
 
 
@@ -86,7 +79,6 @@ def select(
     rationale: Rationale,
     candidates: Sequence[str],
     catalog: Catalog | None = None,
-    weights: Mapping[ComponentKind, float] | None = None,
 ) -> SelectionReport:
     """Pick the candidate that best satisfies the rationale.
 
@@ -110,7 +102,7 @@ def select(
         if smiles not in results:
             molecule = parse(smiles)
             results[smiles] = (
-                matching_ratio(rationale, molecule, catalog, weights)
+                matching_ratio(rationale, molecule, catalog)
                 if isinstance(molecule, Molecule)
                 else None
             )

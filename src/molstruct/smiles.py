@@ -806,16 +806,6 @@ def _keeps_texts(texts: _WriterTexts, image: dict[int, int]) -> bool:
     return True
 
 
-def _rank_map(
-    texts: _WriterTexts, by_rank: list[int], twin_by_rank: list[int]
-) -> dict[int, int] | None:
-    """The map from one leaf's atoms onto another's of equal rank
-    position, as the atoms it moves and their images, when it keeps every
-    text (:func:`_keeps_texts`), else None."""
-    image = {a: b for a, b in zip(by_rank, twin_by_rank) if a != b}
-    return image if _keeps_texts(texts, image) else None
-
-
 def _grown_map(
     texts: _WriterTexts,
     adjacency: list[list[tuple[int, int]]],
@@ -883,51 +873,37 @@ def _component_min_string(
     onto it (:func:`_grown_map`).  A kept map is an automorphism that
     fixes every atom individualized above the node; it is recorded, and
     the candidate is skipped as one in a known orbit would be.  A map that
-    fails leaves the candidate refined and searched.
+    fails leaves the candidate refined and searched.  A component with a
+    chirality-tagged atom, whose text depends on the order written, tries
+    no node map.
 
-    Symmetries the node maps miss are found at the leaves: a leaf is
-    first mapped onto the first and then the best leaf written, by rank
-    position within the component.  A map that carries every atom text
-    and directed bond text onto an equal one is an automorphism that
-    keeps the rank order, so the leaf would write the twin's string in
-    the twin's emission order under the map.  The map is recorded, and
-    the leaf returns its twin's string and order without a write.  The
-    search returns the first leaf that writes the smallest string; no
-    earlier leaf writes that string, so that leaf is no twin and is
-    always written.  A component with a chirality-tagged atom, whose
-    text depends on the order written, tries no map at a node or a leaf
-    and writes every leaf.
+    Every leaf is written.  A leaf that writes the string of the first or
+    the best leaf written records the map between their emission orders.
     """
     untagged = all(isinstance(texts[0][i], str) for i in comp)
     automorphisms: list[dict[int, int]] = []
-    # The first and, when it differs, the best leaf written: string,
-    # emission order, and the component's atoms in rank order.
-    written: list[tuple[str, list[int], list[int]]] = []
+    # The first and, when it differs, the best leaf written: string and
+    # emission order.
+    written: list[tuple[str, list[int]]] = []
 
-    def leaf(ranks: list[int], by_rank: list[int]) -> tuple[str, list[int]]:
-        if untagged:
-            for twin_string, twin_order, twin_by_rank in written:
-                image = _rank_map(texts, by_rank, twin_by_rank)
-                if image is not None:
-                    automorphisms.append({b: a for a, b in image.items()})
-                    return twin_string, twin_order
-        result = _write_component(mol, by_rank[0], ranks.__getitem__, texts)
+    def leaf(ranks: list[int], root: int) -> tuple[str, list[int]]:
+        result = _write_component(mol, root, ranks.__getitem__, texts)
         if not written:
-            written.append((*result, by_rank))
+            written.append(result)
             return result
         first, best = written[0], written[-1]
         twin = first if result[0] == first[0] else best if result[0] == best[0] else None
         if twin is not None:
             automorphisms.append({a: b for a, b in zip(twin[1], result[1]) if a != b})
         if result[0] < best[0]:
-            written[1:] = [(*result, by_rank)]
+            written[1:] = [result]
         return result
 
     def search(ranks: list[int], fixed: list[int]) -> tuple[str, list[int]]:
         by_rank = sorted(comp, key=ranks.__getitem__)
         rank_of = [ranks[i] for i in by_rank]
         if len(set(rank_of)) == len(rank_of):
-            return leaf(ranks, by_rank)
+            return leaf(ranks, by_rank[0])
         # The lowest tied class, in atom order, since the sort is stable.
         rank = next(r for r, s in zip(rank_of, rank_of[1:]) if r == s)
         start = rank_of.index(rank)
@@ -987,13 +963,11 @@ def canonicalize(mol: Molecule) -> str:
     The tie-break search skips atoms in the automorphism orbit of one
     already tried, which leaves the result of the exhaustive search
     unchanged and makes each independent symmetric part cost a few
-    writes rather than a doubling.  Symmetries are found first at search
-    nodes: a candidate onto which a map grown from the node's first
+    writes rather than a doubling.  Symmetries are found at search nodes,
+    where a candidate onto which a map grown from the node's first
     candidate keeps every atom and bond text is skipped without a
-    refinement.  Then at leaves: a leaf whose rank-order map onto an
-    earlier leaf keeps every atom and bond text is that leaf's twin and
-    is not written; a leaf is written when no such map exists or its
-    component has a chirality-tagged atom.
+    refinement, and at leaves, where two leaves that write one string
+    differ by one.
     """
     return ".".join(part[0] for part in _canonical_parts(mol))
 

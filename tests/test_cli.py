@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -529,6 +530,55 @@ class TestStream:
             records = [json.loads(line) for line in output.splitlines()]
             assert len(records) == n
             assert [k for k, record in enumerate(records, 1) if "error" in record] == malformed
+
+    def test_workers_are_bounded_by_the_cpus(self, tmp_path, capsys, monkeypatch) -> None:
+        # The stub runs each chunk inline, and its results never report
+        # done, so the window fills to its size before the oldest is written.
+        pools = []
+
+        class Ran:
+            def __init__(self, pool, value):
+                self.pool, self.value = pool, value
+
+            def done(self):
+                return False
+
+            def result(self):
+                self.pool.in_flight -= 1
+                return self.value
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                self.max_workers, self.in_flight, self.most_in_flight = max_workers, 0, 0
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                self.in_flight += 1
+                self.most_in_flight = max(self.most_in_flight, self.in_flight)
+                return Ran(self, fn(*args))
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        text = ("\n".join(_stream_rows("canon", 200)) + "\n").encode()
+        serial = run_cli_raw(tmp_path, ["canon"], text, capsys)
+        assert run_cli_raw(tmp_path, ["canon", "--jobs", "5000"], text, capsys) == serial
+        assert run_cli_raw(tmp_path, ["canon", "--jobs", "2"], text, capsys) == serial
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert run_cli_raw(tmp_path, ["canon", "--jobs", "4"], text, capsys) == serial
+        assert [(pool.max_workers, pool.most_in_flight) for pool in pools] == [
+            (3, 3 * _WINDOW_CHUNKS_PER_JOB),
+            (2, 2 * _WINDOW_CHUNKS_PER_JOB),
+            (1, _WINDOW_CHUNKS_PER_JOB),
+        ]
 
     @pytest.mark.parametrize(
         "jobs",

@@ -131,23 +131,6 @@ class TestMatchingRatio:
         )
         assert matching_ratio(large, mol)[0] < matching_ratio(small, mol)[0]
 
-    def test_custom_weights(self) -> None:
-        rationale = Rationale(
-            {K.FORMULA: "CH4", K.IUPAC_NAME: "methane"},
-            frozenset({K.FORMULA, K.IUPAC_NAME}),
-        )
-        mol = parse_strict("C")
-        assert matching_ratio(rationale, mol)[0] == 0.5
-        weighted, _ = matching_ratio(
-            rationale, mol, weights={K.FORMULA: 3.0, K.IUPAC_NAME: 1.0}
-        )
-        assert weighted == 0.75
-
-    def test_zero_total_weight_rejected(self) -> None:
-        rationale = Rationale({K.FORMULA: "CH4"}, frozenset({K.FORMULA}))
-        with pytest.raises(ValueError):
-            matching_ratio(rationale, parse_strict("C"), weights={K.FORMULA: 0.0})
-
     def test_empty_mask_raises(self) -> None:
         with pytest.raises(EmptyRationaleError):
             matching_ratio(Rationale({}, frozenset()), parse_strict("C"))
