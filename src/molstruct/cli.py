@@ -18,7 +18,7 @@ lines are skipped.  At ``--jobs 1`` every record runs inline, and
 analyze, canon and select write and flush its output line before the
 next input line is read.  At ``--jobs N`` (N > 1) the lines go to a pool
 of W = min(N, CPU count) processes in chunks of at most
-_MAX_CHUNK_RECORDS, with at most _WINDOW_CHUNKS_PER_JOB * W chunks in
+_MAX_CHUNK_RECORDS, with at most _WINDOW_CHUNKS_PER_WORKER * W chunks in
 flight, and the output lines of the oldest chunk are written once it
 has finished.  score and compare fold each result into running sums and
 write their one report at the end.  So memory stays flat however long
@@ -70,7 +70,7 @@ if TYPE_CHECKING:
 
 # Chunks in flight per worker process: enough that every worker stays busy
 # while the oldest chunk's lines are written.
-_WINDOW_CHUNKS_PER_JOB = 4
+_WINDOW_CHUNKS_PER_WORKER = 4
 # At --jobs N a chunk holds the records read so far divided by the window,
 # so that a short input of slow records still spreads over every worker.
 # It grows to this cap, where the pool's cost per chunk (about 0.3 ms of
@@ -317,7 +317,7 @@ def _results(task: Callable, lines: Iterator, jobs: int) -> Iterator:
     # than CPUs would only share them.
     workers = min(jobs, os.cpu_count() or 1)
     window: deque = deque()
-    window_size = _WINDOW_CHUNKS_PER_JOB * workers
+    window_size = _WINDOW_CHUNKS_PER_WORKER * workers
     read, size = 0, 1
     with ProcessPoolExecutor(max_workers=workers) as pool:
         try:

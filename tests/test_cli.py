@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from molstruct import cli, extract_profile, from_profile, metrics, parse_strict, render, selection
-from molstruct.cli import _MAX_CHUNK_RECORDS, _WINDOW_CHUNKS_PER_JOB, main
+from molstruct.cli import _MAX_CHUNK_RECORDS, _WINDOW_CHUNKS_PER_WORKER, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 CLI = [sys.executable, "-m", "molstruct.cli"]
@@ -514,7 +514,7 @@ class TestStream:
     @pytest.mark.parametrize("command", ["analyze", "canon", "select", "score", "compare"])
     def test_parallel_matches_serial(self, tmp_path, capsys, command) -> None:
         # Chunks reach their full size, and the window of --jobs 2 fills and drains.
-        n = _MAX_CHUNK_RECORDS * _WINDOW_CHUNKS_PER_JOB * 2 * 3 // 2 + 5
+        n = _MAX_CHUNK_RECORDS * _WINDOW_CHUNKS_PER_WORKER * 2 * 3 // 2 + 5
         text = ("\n".join(_stream_rows(command, n)) + "\n").encode()
         serial = run_cli_raw(tmp_path, [command], text, capsys)
         parallel = run_cli_raw(tmp_path, [command, "--jobs", "2"], text, capsys)
@@ -575,9 +575,9 @@ class TestStream:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert run_cli_raw(tmp_path, ["canon", "--jobs", "4"], text, capsys) == serial
         assert [(pool.max_workers, pool.most_in_flight) for pool in pools] == [
-            (3, 3 * _WINDOW_CHUNKS_PER_JOB),
-            (2, 2 * _WINDOW_CHUNKS_PER_JOB),
-            (1, _WINDOW_CHUNKS_PER_JOB),
+            (3, 3 * _WINDOW_CHUNKS_PER_WORKER),
+            (2, 2 * _WINDOW_CHUNKS_PER_WORKER),
+            (1, _WINDOW_CHUNKS_PER_WORKER),
         ]
 
     @pytest.mark.parametrize(
