@@ -5,7 +5,10 @@ by component against a gold structure (exact match for scalar fields,
 Jaccard or recall for multisets, a 5% band for molecular weight).
 Molecule metrics grade a predicted SMILES against a gold one: exact
 match up to canonicalization, raw edit distance, Morgan fingerprint
-Tanimoto similarity, validity, and corpus-level character BLEU.
+Tanimoto similarity, validity, and corpus-level character BLEU.  The
+edit distance is bit-parallel, the BLEU counts are clipped in one pass
+over each string, and a prediction that copies gold is parsed once and
+never canonicalized.
 """
 
 from __future__ import annotations
@@ -33,22 +36,42 @@ DEFAULT_FP_WIDTH = 2048
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Edit distance with unit insert/delete/substitute costs."""
+    """Edit distance with unit insert/delete/substitute costs.
+
+    Hyyro's bit-vector form of the dynamic program (Nordic J. Computing
+    2003, after Myers, JACM 1999): one column of the table, over the
+    shorter string, is held as its vertical +1 and -1 steps in two
+    Python ints, and each character of the longer string advances the
+    column with a fixed number of int operations.  For lengths n >= m
+    that is O(n * ceil(m / w)) word operations, w = 30 bits per Python
+    int digit, against n * m cell updates for the table itself.
+    """
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(
-                min(
-                    previous[j] + 1,
-                    current[j - 1] + 1,
-                    previous[j - 1] + (ca != cb),
-                )
-            )
-        previous = current
-    return previous[len(b)]
+    m = len(b)
+    if not m:
+        return len(a)
+    peq: dict[str, int] = {}
+    for j, c in enumerate(b):
+        peq[c] = peq.get(c, 0) | (1 << j)
+    mask = (1 << m) - 1
+    top = 1 << (m - 1)
+    vp, vn, distance = mask, 0, m
+    for c in a:
+        x = peq.get(c, 0)
+        d0 = (((x & vp) + vp) ^ vp) | x | vn
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        if hp & top:
+            distance += 1
+        elif hn & top:
+            distance -= 1
+        # The table's top row counts up, so a +1 carries in at bit 0.
+        hp = ((hp << 1) | 1) & mask
+        hn = (hn << 1) & mask
+        vp = hn | (~(d0 | hp) & mask)
+        vn = hp & d0
+    return distance
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,20 +88,28 @@ class BleuStats:
     reference_length: int
 
 
-def _ngrams(text: str, order: int) -> Counter:
-    return Counter(text[i : i + order] for i in range(len(text) - order + 1))
-
-
 def bleu_stats(reference: str, candidate: str) -> BleuStats:
-    """Character n-gram overlap statistics up to order 4."""
-    matched = []
-    total = []
-    for order in range(1, BLEU_MAX_ORDER + 1):
-        cand = _ngrams(candidate, order)
-        ref = _ngrams(reference, order)
-        matched.append(sum((cand & ref).values()))
-        total.append(sum(cand.values()))
-    return BleuStats(tuple(matched), tuple(total), len(candidate), len(reference))
+    """Character n-gram overlap statistics up to order 4.
+
+    One counter holds the reference's n-grams of every order (grams of
+    different lengths never collide); each candidate gram takes one from
+    its count while the count lasts, which clips the matches in one pass.
+    """
+    ref_len = len(reference)
+    cand_len = len(candidate)
+    left = Counter(
+        reference[i : i + k] for k in range(1, BLEU_MAX_ORDER + 1) for i in range(ref_len - k + 1)
+    )
+    matched = [0] * BLEU_MAX_ORDER
+    for k in range(1, BLEU_MAX_ORDER + 1):
+        for i in range(cand_len - k + 1):
+            gram = candidate[i : i + k]
+            count = left.get(gram)
+            if count:
+                left[gram] = count - 1
+                matched[k - 1] += 1
+    total = tuple(max(cand_len - k + 1, 0) for k in range(1, BLEU_MAX_ORDER + 1))
+    return BleuStats(tuple(matched), total, cand_len, ref_len)
 
 
 def corpus_bleu_from_stats(stats: Iterable[BleuStats]) -> float:
@@ -331,14 +362,16 @@ def compare_pair(gold: str, predicted: str) -> ComparisonRecord:
     same structure count as exact.  Two molecules whose atom counts, bond
     counts or sorted atom invariants (element, charge, degree, hydrogens,
     aromaticity, isotope) differ are told apart without canonicalizing.
-    Edit distance and BLEU use the raw strings.  Fingerprint similarity
-    is 1.0 on an exact match without computing fingerprints: equal
-    canonical forms are the same graph with the same perception, which
-    is all the fingerprint reads.  It is 0 when either side fails to
-    parse; validity reflects the predicted string only.
+    A prediction equal to gold reuses gold's parse and, when that parse
+    is a molecule, is exact without canonicalizing.  Edit distance and
+    BLEU use the raw strings.  Fingerprint similarity is 1.0 on an exact
+    match without computing fingerprints: equal canonical forms are the
+    same graph with the same perception, which is all the fingerprint
+    reads.  It is 0 when either side fails to parse; validity reflects
+    the predicted string only.
     """
     gold_mol = parse(gold)
-    pred_mol = parse(predicted)
+    pred_mol = gold_mol if predicted == gold else parse(predicted)
     gold_ok = isinstance(gold_mol, Molecule)
     pred_ok = isinstance(pred_mol, Molecule)
     exact = False

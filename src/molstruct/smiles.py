@@ -978,8 +978,11 @@ def same_canonical(a: Molecule, b: Molecule) -> bool:
 
     Equal canonical strings imply equal invariants: the string spells each
     atom's element, case, charge, isotope and hydrogens, and the bonds
-    that give its degree.
+    that give its degree.  One and the same molecule is equal to itself
+    without any of these checks.
     """
+    if a is b:
+        return True
     if len(a.atoms) != len(b.atoms) or len(a.bonds) != len(b.bonds):
         return False
     if sorted(_initial_invariants(a)) != sorted(_initial_invariants(b)):

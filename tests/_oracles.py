@@ -6,12 +6,13 @@ with the package internals they validate.
 
 from __future__ import annotations
 
+from collections import Counter
 from decimal import ROUND_HALF_UP, Decimal
-from functools import lru_cache
 
 from molstruct.catalog import Catalog
 from molstruct.elements import ATOMIC_WEIGHTS
 from molstruct.graph import H_BRANCH, Chirality, Molecule
+from molstruct.metrics import BLEU_MAX_ORDER, BleuStats
 
 
 def ring_atoms_oracle(mol: Molecule) -> set[int]:
@@ -210,21 +211,34 @@ def weight_oracle(mol: Molecule) -> float:
 
 
 def levenshtein_oracle(a: str, b: str) -> int:
-    """Textbook recursive edit distance with memoization."""
+    """Edit distance by the row-by-row table, one ``min`` per cell."""
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(
+                min(
+                    previous[j] + 1,
+                    current[j - 1] + 1,
+                    previous[j - 1] + (ca != cb),
+                )
+            )
+        previous = current
+    return previous[len(b)]
 
-    @lru_cache(maxsize=None)
-    def rec(i: int, j: int) -> int:
-        if i == 0:
-            return j
-        if j == 0:
-            return i
-        return min(
-            rec(i - 1, j) + 1,
-            rec(i, j - 1) + 1,
-            rec(i - 1, j - 1) + (a[i - 1] != b[j - 1]),
-        )
 
-    return rec(len(a), len(b))
+def bleu_stats_oracle(reference: str, candidate: str) -> BleuStats:
+    """Clipped n-gram counts by intersecting one counter pair per order."""
+    matched = []
+    total = []
+    for order in range(1, BLEU_MAX_ORDER + 1):
+        cand = Counter(candidate[i : i + order] for i in range(len(candidate) - order + 1))
+        ref = Counter(reference[i : i + order] for i in range(len(reference) - order + 1))
+        matched.append(sum((cand & ref).values()))
+        total.append(sum(cand.values()))
+    return BleuStats(tuple(matched), tuple(total), len(candidate), len(reference))
 
 
 def formula_oracle(mol: Molecule) -> str:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
+from collections import Counter
 
 import pytest
 
@@ -27,9 +29,48 @@ from molstruct.profile import extract_profile
 from molstruct.rationale import ComponentKind, Rationale, from_profile
 from molstruct.smiles import parse_strict
 
-from _oracles import levenshtein_oracle
+from _oracles import bleu_stats_oracle, levenshtein_oracle
+from test_smiles import best_seconds
 
 K = ComponentKind
+
+# Lengths around the ends of Python's 30-bit int digits and of 64-bit words.
+EDGE_LENGTHS = (0, 1, 2, 29, 30, 31, 59, 60, 61, 62, 63, 64, 65, 127, 128, 129, 130)
+# Forty symbols, the last ten outside ASCII.
+SYMBOLS = "CNOSPFIcnos()[]=#@+-0123456789" + "αβγδéü漢字€🧪"
+
+
+def edited(text: str, alphabet: list[str], rng: random.Random) -> str:
+    """``text`` after a few random insertions, deletions and substitutions."""
+    chars = list(text)
+    for _ in range(rng.randint(0, 8)):
+        at = rng.randint(0, len(chars))
+        edit = rng.randrange(3)
+        if edit == 0:
+            chars.insert(at, rng.choice(alphabet))
+        elif at < len(chars):
+            if edit == 1:
+                del chars[at]
+            else:
+                chars[at] = rng.choice(alphabet)
+    return "".join(chars)
+
+
+def string_pairs() -> list[tuple[str, str]]:
+    """Seeded pairs over alphabets of 1 to 40 symbols: every two edge
+    lengths drawn independently, and each edge length against edited
+    copies of itself."""
+    rng = random.Random(20)
+    pairs = []
+    for i, long in enumerate(EDGE_LENGTHS):
+        for short in EDGE_LENGTHS[: i + 1]:
+            alphabet = rng.sample(SYMBOLS, rng.randint(1, len(SYMBOLS)))
+            pairs.append(("".join(rng.choices(alphabet, k=long)), "".join(rng.choices(alphabet, k=short))))
+        for _ in range(4):
+            alphabet = rng.sample(SYMBOLS, rng.randint(1, len(SYMBOLS)))
+            text = "".join(rng.choices(alphabet, k=long))
+            pairs.append((text, edited(text, alphabet, rng)))
+    return pairs
 
 
 class TestLevenshtein:
@@ -56,6 +97,12 @@ class TestLevenshtein:
         pairs = list(zip(corpus[:25], corpus[25:50]))
         for a, b in pairs:
             assert levenshtein(a, b) == levenshtein_oracle(a, b), (a, b)
+
+    def test_matches_oracle_across_word_ends(self) -> None:
+        for a, b in string_pairs():
+            distance = levenshtein_oracle(a, b)
+            assert levenshtein(a, b) == distance, (a, b)
+            assert levenshtein(b, a) == distance, (a, b)
 
 
 class TestBleu:
@@ -98,6 +145,11 @@ class TestBleu:
     def test_length_mismatch_rejected(self) -> None:
         with pytest.raises(ValueError):
             corpus_bleu(["a"], ["a", "b"])
+
+    def test_counts_match_oracle(self) -> None:
+        for a, b in string_pairs():
+            assert bleu_stats(a, b) == bleu_stats_oracle(a, b), (a, b)
+            assert bleu_stats(b, a) == bleu_stats_oracle(b, a), (a, b)
 
     def test_corpus_pooling_differs_from_mean_of_pairs(self) -> None:
         # pooled counts weight long strings more than short ones
@@ -325,6 +377,79 @@ class TestComparePair:
         record = compare_pair("OC(=O)[C@@H](N)C", "C[C@H](N)C(O)=O")
         assert record.exact
         assert record.morgan_similarity == 1.0
+
+
+class TestCopiedPrediction:
+    """A prediction equal to gold is parsed once and never canonicalized."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> Counter:
+        calls = Counter()
+        parse = metrics.parse
+        canonical_parts = smiles._canonical_parts
+
+        def counted_parse(text: str):
+            calls["parse"] += 1
+            return parse(text)
+
+        def counted_parts(mol):
+            calls["canonicalize"] += 1
+            return canonical_parts(mol)
+
+        monkeypatch.setattr(metrics, "parse", counted_parse)
+        monkeypatch.setattr(smiles, "_canonical_parts", counted_parts)
+        return calls
+
+    @pytest.mark.parametrize("text", ["CCO", "OC(=O)[C@@H](N)C", "c1ccccc1.[Na+].[Cl-]", "[13CH4]"])
+    def test_valid_copy(self, text: str, calls: Counter) -> None:
+        record = compare_pair(text, text)
+        assert calls == {"parse": 1}
+        assert record.valid
+        assert record.exact
+        assert record.levenshtein == 0
+        assert record.morgan_similarity == 1.0
+        assert record.bleu == bleu_stats_oracle(text, text)
+
+    def test_unparsable_copy(self, calls: Counter) -> None:
+        record = compare_pair("C(", "C(")
+        assert calls == {"parse": 1}
+        assert not record.valid
+        assert not record.exact
+        assert record.morgan_similarity == 0.0
+
+
+class TestGradingScaling:
+    """Long inputs, such as a runaway generated prediction, graded in time.
+
+    Each bound is about five times the time measured on a 2-core machine
+    (Python 3.11) or more.  With the full edit-distance table the two
+    5,000-character strings took 9.5 s and the chain pair 2.6 s.
+    """
+
+    def test_levenshtein_of_long_strings(self) -> None:
+        rng = random.Random(5)
+        a = "".join(rng.choices("CNOc1()=", k=5000))
+        b = "".join(rng.choices("CNOc1()=", k=5000))
+        assert best_seconds(lambda: levenshtein(a, b), 0.5) < 0.5
+        assert levenshtein(a, b) == levenshtein(b, a)
+
+    def test_levenshtein_is_linear_in_the_longer_string(self) -> None:
+        # A 3-character column fits in one word: the cost is a fixed
+        # number of word operations per character of the long string.
+        rng = random.Random(5)
+        a = "".join(rng.choices("CNO", k=100_000))
+        assert best_seconds(lambda: levenshtein(a, "NOC"), 0.25) < 0.25
+        assert levenshtein(a, "NOC") == levenshtein_oracle(a, "NOC")
+
+    def test_compare_long_chains(self) -> None:
+        gold = "C" * 3000
+        predicted = "C" * 2999 + "O"
+        assert best_seconds(lambda: compare_pair(gold, predicted), 1.0) < 1.0
+        record = compare_pair(gold, predicted)
+        assert record.valid
+        assert not record.exact
+        assert record.levenshtein == 1
+        assert record.bleu == bleu_stats_oracle(gold, predicted)
 
 
 class TestAggregateComparison:
