@@ -421,9 +421,10 @@ class TestCopiedPrediction:
 class TestGradingScaling:
     """Long inputs, such as a runaway generated prediction, graded in time.
 
-    Each bound is about five times the time measured on a 2-core machine
-    (Python 3.11) or more.  With the full edit-distance table the two
-    5,000-character strings took 9.5 s and the chain pair 2.6 s.
+    Each bound is nine or more times the time measured on a 2-core
+    machine (Python 3.11): 0.016 s, 0.027 s and 0.10 s.  With the full
+    edit-distance table the two 5,000-character strings took 8 to 9.5 s
+    and the chain pair 2.6 to 2.7 s.
     """
 
     def test_levenshtein_of_long_strings(self) -> None:
